@@ -58,12 +58,14 @@ race-core:
 	$(GO) test -race ./internal/simtime/... ./internal/bench/...
 
 # A handful of iterations only — this is a smoke test that the benchmarks
-# still compile and run, not a measurement. Real numbers: see EXPERIMENTS.md
-# ("Event-core performance") and `go test -bench . -benchmem`.
+# still compile and run, not a measurement; the LSM pair's -benchmem line
+# makes an accidental per-SCAN sort or map visible. Real numbers: see
+# EXPERIMENTS.md ("Event-core performance") and `go test -bench . -benchmem`.
 .PHONY: bench-smoke
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkClock' -benchtime 100x -benchmem ./internal/simtime/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig7Sweep$$' -benchtime 1x -benchmem ./internal/bench/
+	$(GO) test -run '^$$' -bench 'BenchmarkLSM' -benchtime 100x -benchmem ./internal/apps/kvstore/
 
 # End-to-end observability smoke: run skyloft-trace with all four
 # observability outputs, verify the Perfetto JSON parses and has a slice

@@ -2,6 +2,9 @@ package kvstore
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -170,5 +173,144 @@ func TestLSMGetMissing(t *testing.T) {
 	l.Put("a", "1")
 	if _, ok := l.Get("nope"); ok {
 		t.Fatal("missing key found")
+	}
+}
+
+// refScan is the reference range read: the values of ref's keys in
+// [start, end), in key order, at most limit of them when limit > 0.
+func refScan(ref map[string]string, start, end string, limit int) []string {
+	var keys []string
+	for k := range ref {
+		if k >= start && k < end {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	if limit > 0 && len(keys) > limit {
+		keys = keys[:limit]
+	}
+	out := []string{}
+	for _, k := range keys {
+		out = append(out, ref[k])
+	}
+	return out
+}
+
+// Property: under any interleaving of Put/Get/Scan on a 3-entry memtable —
+// so overwrites straddle the memtable, several runs and compactions — the
+// LSM answers exactly as a plain map plus sort.Strings does, for scans with
+// empty, inverted, open-ended and limited ranges alike.
+func TestQuickLSMInterleavedVsMap(t *testing.T) {
+	key := func(n uint32) string { return fmt.Sprintf("k%02d", n%24) }
+	f := func(ops []uint32) bool {
+		l := NewLSM(3)
+		ref := map[string]string{}
+		for i, op := range ops {
+			switch op % 4 {
+			case 0, 1:
+				k, v := key(op>>2), fmt.Sprintf("v%d", i)
+				l.Put(k, v)
+				ref[k] = v
+			case 2:
+				got, ok := l.Get(key(op >> 2))
+				want, wok := ref[key(op>>2)]
+				if ok != wok || got != want {
+					return false
+				}
+			case 3:
+				start, end := key(op>>2), key(op>>8)
+				switch op >> 14 % 4 {
+				case 0:
+					end = ""
+				case 1:
+					start = ""
+				}
+				limit := int(op>>16%32) - 4 // -4..27: none, tight and beyond the range
+				got := l.Scan(start, end, limit)
+				if want := refScan(ref, start, end, limit); !slices.Equal(got, want) {
+					t.Logf("Scan(%q, %q, %d) = %v, want %v", start, end, limit, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 300, Values: func(args []reflect.Value, r *rand.Rand) {
+		ops := make([]uint32, r.Intn(400))
+		for i := range ops {
+			ops[i] = r.Uint32()
+		}
+		args[0] = reflect.ValueOf(ops)
+	}}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A key present in the memtable and in three runs at once reads back with
+// its newest value through both Get and Scan.
+func TestLSMNewestWinsAcrossAllLevels(t *testing.T) {
+	l := NewLSM(2)
+	for i, pad := range []string{"a", "b", "c"} {
+		l.Put("k", fmt.Sprintf("v%d", i))
+		l.Put(pad, "x") // second entry: flush the memtable to a new run
+	}
+	l.Put("k", "v3")
+	if _, _, _, flushes, compactions := l.Stats(); flushes != 3 || compactions != 0 {
+		t.Fatalf("setup: %d flushes, %d compactions; want 3, 0", flushes, compactions)
+	}
+	for _, tc := range []struct {
+		start, end string
+		limit      int
+		want       []string
+	}{
+		{"k", "k\x00", 0, []string{"v3"}},
+		{"", "z", 0, []string{"x", "x", "x", "v3"}},
+		{"b", "z", 2, []string{"x", "x"}},
+		{"c", "", 0, []string{}},
+		{"k", "a", 0, []string{}},
+	} {
+		if got := l.Scan(tc.start, tc.end, tc.limit); !slices.Equal(got, tc.want) {
+			t.Errorf("Scan(%q, %q, %d) = %q, want %q", tc.start, tc.end, tc.limit, got, tc.want)
+		}
+	}
+	if v, ok := l.Get("k"); !ok || v != "v3" {
+		t.Fatalf("Get(k) = %q, %v; want v3", v, ok)
+	}
+	if l.Len() != 7 {
+		t.Fatalf("Len = %d, want 7 (one memtable entry + three 2-entry runs)", l.Len())
+	}
+}
+
+// fig8bLSM is the Fig. 8b store: a 4096-entry memtable over 20,000
+// preloaded keys.
+func fig8bLSM() *LSM {
+	l := NewLSM(4096)
+	for i := 0; i < 20000; i++ {
+		l.Put(fmt.Sprintf("key-%08d", i), fmt.Sprintf("value-%d", i))
+	}
+	return l
+}
+
+func BenchmarkLSMScan(b *testing.B) {
+	l := fig8bLSM()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := i * 7919 % 19000
+		if rows := l.Scan(fmt.Sprintf("key-%08d", n), fmt.Sprintf("key-%08d", n+500), 500); len(rows) != 500 {
+			b.Fatalf("scan returned %d rows", len(rows))
+		}
+	}
+}
+
+func BenchmarkLSMGet(b *testing.B) {
+	l := fig8bLSM()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := l.Get(fmt.Sprintf("key-%08d", i*7919%20000)); !ok {
+			b.Fatal("preloaded key missing")
+		}
 	}
 }

@@ -1,9 +1,11 @@
 // Package kvstore implements the two storage engines behind the paper's
 // real-world applications (§5.3): a sharded in-memory hash store standing
 // in for Memcached, and a small log-structured merge store standing in for
-// RocksDB. Both are real data structures — requests execute genuine
-// lookups, inserts and range scans — while their CPU demand in virtual time
-// comes from the measured service-time distributions the paper reports.
+// RocksDB, whose sorted memtable and sorted runs serve range scans as one
+// k-way merge without sorting anything per request. Both are real data
+// structures — requests execute genuine lookups, inserts and range scans —
+// while their CPU demand in virtual time comes from the measured
+// service-time distributions the paper reports.
 package kvstore
 
 import "fmt"

@@ -9,6 +9,10 @@
 //	SCAN <start-key> <count>\r\n
 //	PUT <key> <len>\r\n<data>\r\n
 //
+// SCAN is a prefix scan: it returns, in key order, the values of up to
+// <count> keys that extend <start-key> (<start-key> itself included), and
+// fewer when the prefix runs out.
+//
 // Responses:
 //
 //	VALUE <len>\r\n<data>\r\n           (GET hit)
@@ -32,7 +36,7 @@ type Op uint8
 const (
 	// Get is a point lookup.
 	Get Op = iota
-	// Scan reads up to Count rows starting at Key.
+	// Scan reads, in key order, up to Count rows whose keys extend Key.
 	Scan
 	// Put stores a value.
 	Put
@@ -208,6 +212,8 @@ func (s *Server) Handle(msg []byte) []byte {
 		return b.Bytes()
 	case Scan:
 		s.scans++
+		// [Key, Key+"\xff") holds exactly the keys extending Key, bar
+		// those whose next byte is 0xff (not valid in UTF-8 key text).
 		rows := s.DB.Scan(req.Key, req.Key+"\xff", req.Count)
 		var b bytes.Buffer
 		fmt.Fprintf(&b, "ROWS %d\r\n", len(rows))

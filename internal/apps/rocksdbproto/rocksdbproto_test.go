@@ -80,6 +80,17 @@ func TestServerGetScanPut(t *testing.T) {
 	if string(resp.Rows[0]) != "v100" {
 		t.Fatalf("SCAN first row %q", resp.Rows[0])
 	}
+	// SCAN is bounded to the start key's prefix: 50 rows are asked for but
+	// only key-190..key-199 extend "key-19".
+	resp, err = ParseResponse(srv.Handle(FormatRequest(Request{Op: Scan, Key: "key-19", Count: 50})))
+	if err != nil || resp.Status != "ROWS" || len(resp.Rows) != 10 {
+		t.Fatalf("prefix SCAN: %+v err %v", resp, err)
+	}
+	for i, r := range resp.Rows {
+		if want := fmt.Sprintf("v%d", 190+i); string(r) != want {
+			t.Fatalf("prefix SCAN row %d = %q, want %q", i, r, want)
+		}
+	}
 	// PUT then GET.
 	if r, _ := ParseResponse(srv.Handle(FormatRequest(Request{Op: Put, Key: "new", Data: []byte("x")}))); r.Status != "OK" {
 		t.Fatalf("PUT: %+v", r)
@@ -93,7 +104,7 @@ func TestServerGetScanPut(t *testing.T) {
 		t.Fatalf("garbage: %+v", r)
 	}
 	gets, scans, puts, errs := srv.Stats()
-	if gets != 3 || scans != 1 || puts != 1 || errs != 1 {
+	if gets != 3 || scans != 2 || puts != 1 || errs != 1 {
 		t.Fatalf("stats %d/%d/%d/%d", gets, scans, puts, errs)
 	}
 }
