@@ -155,7 +155,7 @@ type Engine struct {
 
 	// Thread-object recycling: live tracks threads whose body has not
 	// exited; utFree chains recycled uthreads (descriptor + closures) and
-	// procs recycles the goroutine/channel pairs behind them. A Fig. 7-style
+	// procs recycles the coroutines behind them. A Fig. 7-style
 	// run creates millions of threads but only tens live at once, so reuse
 	// removes the simulator's largest allocation source.
 	live    []*uthread
@@ -692,7 +692,7 @@ func (e *Engine) RunUntil(horizon simtime.Time, pred func() bool) bool {
 	return e.m.Clock.RunUntil(horizon, pred)
 }
 
-// Shutdown stops timers and reaps every thread goroutine, including the
+// Shutdown stops timers and reaps every thread coroutine, including the
 // parked ones in the reuse pool.
 //
 //simlint:phase dispatch
@@ -700,7 +700,7 @@ func (e *Engine) Shutdown() {
 	for _, u := range e.live {
 		// Under strict handoff every live thread is parked in a request at
 		// this point, so killing is always safe. Quick tasks have no
-		// goroutine behind them and need no reaping.
+		// coroutine behind them and need no reaping.
 		if u.p != nil {
 			u.p.Kill()
 			u.p.Stop()
@@ -1180,7 +1180,7 @@ func (e *Engine) finishThread(c *coreCtx, t *sched.Thread) {
 	if a.live == 0 {
 		a.meta.Exited = true
 	}
-	// Recycle the thread's objects: the goroutine parks for reuse and the
+	// Recycle the thread's objects: the coroutine parks for reuse and the
 	// uthread (descriptor included) goes on the freelist. Swap-remove from
 	// the live list keeps exit O(1).
 	u := ut(t)

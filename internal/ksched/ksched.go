@@ -131,7 +131,7 @@ type Kernel struct {
 	threads  []*sched.Thread
 	nextID   int
 	liveProc map[*sched.Thread]*proc.P
-	procs    proc.Pool // recycled goroutine/channel pairs behind threads
+	procs    proc.Pool // recycled coroutines behind threads
 
 	// WakeupHist collects wake→run latencies for threads with
 	// RecordWakeup set (schbench's metric).
@@ -311,7 +311,7 @@ func (k *Kernel) RegisterMetrics(r *obs.Registry) {
 // Threads reports all threads ever created.
 func (k *Kernel) Threads() []*sched.Thread { return k.threads }
 
-// Shutdown kills all live thread goroutines (call when a simulation ends).
+// Shutdown kills all live thread coroutines (call when a simulation ends).
 func (k *Kernel) Shutdown() {
 	for _, p := range k.liveProc {
 		if !p.Done() {
@@ -776,7 +776,7 @@ func (k *Kernel) resumeThread(c *cpu, t *sched.Thread, resp any) {
 			return
 		case proc.ExitRequest:
 			t.State = sched.Exited
-			// Recycle the goroutine/channel pair; thread-heavy workloads
+			// Recycle the coroutine; thread-heavy workloads
 			// (schbench, thread-per-request servers) reuse it immediately.
 			k.procs.Put(k.liveProc[t])
 			delete(k.liveProc, t)

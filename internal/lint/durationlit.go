@@ -113,9 +113,10 @@ func rawIntLiteral(pass *Pass, e ast.Expr) (*ast.BasicLit, string, bool) {
 
 // isSimtimeValue reports whether t (or its pointer elem) is the named type
 // skyloft/internal/simtime.Time — Duration is an alias of Time, so one
-// check covers both spellings.
+// check covers both spellings (type checkers that materialize aliases
+// report Duration as a *types.Alias, so it is unwrapped first).
 func isSimtimeValue(t types.Type) bool {
-	named, ok := t.(*types.Named)
+	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}

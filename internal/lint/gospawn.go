@@ -4,17 +4,19 @@ import "go/ast"
 
 // GoSpawn flags bare `go` statements in deterministic packages. The
 // simulator's concurrency is cooperative: simulated threads are proc.P
-// coroutines with strict channel handoff (exactly one runnable goroutine),
-// so host-scheduler interleaving can never order two sim operations. A
-// bare goroutine reintroduces exactly that race — deterministic-ULI work
-// (PAPERS.md) shows delivery *ordering* is where replay quietly breaks.
-// The two sanctioned spawn sites are internal/proc itself and the
-// bench.Sweep worker pool (whole-simulation parallelism with input-order
-// results); real-runtime measurement code carries a //simlint:allow.
+// runtime coroutines that switch directly into one another (exactly one
+// runs at a time), so host-scheduler interleaving can never order two sim
+// operations. A bare goroutine reintroduces exactly that race —
+// deterministic-ULI work (PAPERS.md) shows delivery *ordering* is where
+// replay quietly breaks. internal/proc spawns nothing itself (iter.Pull
+// does), so it is patrolled like any other package; the sanctioned spawn
+// sites are the bench.Sweep worker pool (whole-simulation parallelism
+// with input-order results), the engine lane workers and the live bus
+// below; real-runtime measurement code carries a //simlint:allow.
 var GoSpawn = &Analyzer{
 	Name:    "gospawn",
 	Doc:     "forbid bare go statements in deterministic packages; spawn through the proc.P pool or bench.Sweep",
-	InScope: realConcurrencyScope,
+	InScope: moduleScope,
 	Run:     runGoSpawn,
 }
 

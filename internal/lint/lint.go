@@ -13,8 +13,9 @@
 //     from a seeded internal/rng stream.
 //   - maporder: map iteration whose order can leak into state, output, or
 //     hashes — iterate det.SortedKeys instead.
-//   - gospawn: bare goroutines in deterministic packages — host-scheduler
-//     interleaving is nondeterministic; use proc.P or bench.Sweep.
+//   - gospawn: bare goroutines anywhere in the module (internal/proc
+//     included) — host-scheduler interleaving is nondeterministic; use
+//     proc.P coroutines or bench.Sweep.
 //   - selectorder: multi-case selects — Go's runtime picks a ready case
 //     pseudo-randomly.
 //   - durationlit: raw integer nanosecond literals where a simtime value is

@@ -27,11 +27,18 @@ func TestGoSpawn(t *testing.T) {
 	linttest.Run(t, "testdata/src/gospawn", "skyloft/internal/ksched/gospawnfixture", lint.GoSpawn)
 }
 
-// TestGoSpawnOutOfScope loads the same goroutine-heavy fixture under the
-// sanctioned real-concurrency package path: nothing may be reported, not
-// even as suppressed.
+// TestGoSpawnOutOfScope loads the same goroutine-heavy fixture under a
+// path outside the module: nothing may be reported, not even as
+// suppressed.
 func TestGoSpawnOutOfScope(t *testing.T) {
-	linttest.RunNoFindings(t, "testdata/src/gospawn", "skyloft/internal/proc", lint.GoSpawn)
+	linttest.RunNoFindings(t, "testdata/src/gospawn", "example.com/gospawnfixture", lint.GoSpawn)
+}
+
+// TestGoSpawnPatrolsProc checks internal/proc has no carve-out: its
+// coroutines come from iter.Pull, so a go statement there is a finding
+// like anywhere else.
+func TestGoSpawnPatrolsProc(t *testing.T) {
+	linttest.Run(t, "testdata/src/gospawn", "skyloft/internal/proc", lint.GoSpawn)
 }
 
 // TestGoSpawnLaneWorker checks the engine lane-worker allowlist: the
@@ -116,7 +123,11 @@ func TestSelectOrder(t *testing.T) {
 }
 
 func TestSelectOrderOutOfScope(t *testing.T) {
-	linttest.RunNoFindings(t, "testdata/src/selectorder", "skyloft/internal/proc", lint.SelectOrder)
+	linttest.RunNoFindings(t, "testdata/src/selectorder", "example.com/selectorderfixture", lint.SelectOrder)
+}
+
+func TestSelectOrderPatrolsProc(t *testing.T) {
+	linttest.Run(t, "testdata/src/selectorder", "skyloft/internal/proc", lint.SelectOrder)
 }
 
 func TestDurationLit(t *testing.T) {

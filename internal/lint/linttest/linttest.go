@@ -8,7 +8,7 @@
 // an expectation no analyzer satisfied, or a finding no comment expected.
 // Fixtures are loaded under a caller-chosen synthetic import path, so the
 // same fixture can be checked in scope ("skyloft/internal/core/...") and
-// out of scope ("skyloft/internal/proc") without duplicating files.
+// out of scope (a path outside the module) without duplicating files.
 package linttest
 
 import (

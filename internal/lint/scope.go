@@ -19,14 +19,6 @@ func moduleScope(pkgPath string) bool {
 	return pkgPath == "skyloft" || strings.HasPrefix(pkgPath, "skyloft/")
 }
 
-// realConcurrencyScope is moduleScope minus the packages whose job is real
-// host concurrency: internal/proc's coroutine pool is the blessed home of
-// goroutine spawning and channel handoff, so gospawn and selectorder do not
-// apply there.
-func realConcurrencyScope(pkgPath string) bool {
-	return moduleScope(pkgPath) && pkgPath != "skyloft/internal/proc"
-}
-
 // notSimtimeScope is moduleScope minus internal/simtime itself, which
 // defines the typed constants durationlit forces everyone else to use.
 func notSimtimeScope(pkgPath string) bool {

@@ -6,14 +6,14 @@ import "go/ast"
 // more than one case is ready, the Go runtime chooses uniformly at random
 // (plus a fastrand-seeded poll order), so a select over simulation
 // channels injects nondeterminism even when every communicating goroutine
-// is itself deterministic. The proc.P handoff protocol deliberately uses
-// single-channel operations; anything that needs to wait on two sources
+// is itself deterministic. proc.P hands control over by coroutine switch,
+// with no channels at all; anything that needs to wait on two sources
 // must impose an explicit priority (sequential non-blocking receives, or a
 // merged request stream) rather than racing cases.
 var SelectOrder = &Analyzer{
 	Name:    "selectorder",
 	Doc:     "forbid multi-case selects in deterministic packages; a ready-case race is resolved pseudo-randomly by the runtime",
-	InScope: realConcurrencyScope,
+	InScope: moduleScope,
 	Run:     runSelectOrder,
 }
 

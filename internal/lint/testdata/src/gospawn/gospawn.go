@@ -1,7 +1,6 @@
 // Package gospawn exercises the gospawn analyzer: bare goroutines are
-// findings in deterministic packages; the same file loaded under the
-// sanctioned real-concurrency package path must produce nothing (see
-// TestGoSpawnScope).
+// findings in deterministic packages; the same file loaded under a path
+// outside the module must produce nothing (see TestGoSpawnOutOfScope).
 package gospawn
 
 func work() {}

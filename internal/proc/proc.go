@@ -1,15 +1,17 @@
-// Package proc implements deterministic simulated threads on top of Go
-// goroutines. A P is a coroutine: exactly one P (or the simulation driver)
-// executes at any instant, with strict channel handoff, so simulations stay
-// fully deterministic regardless of GOMAXPROCS. Application code written
-// against P reads like ordinary sequential thread code — it "runs" on the
-// simulated machine by issuing requests (run for d, block, wake x) that the
-// hosting scheduler engine services in virtual time.
+// Package proc implements deterministic simulated threads on top of Go's
+// runtime coroutines (iter.Pull). A P is a coroutine: exactly one P (or the
+// simulation driver) executes at any instant, and control passes between
+// them by a direct coroutine switch that never goes through the Go
+// scheduler, so simulations stay fully deterministic regardless of
+// GOMAXPROCS. Application code written against P reads like ordinary
+// sequential thread code — it "runs" on the simulated machine by issuing
+// requests (run for d, block, wake x) that the hosting scheduler engine
+// services in virtual time.
 package proc
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
 )
 
 // Request is an operation a simulated thread asks its engine to perform.
@@ -19,30 +21,32 @@ type Request any
 // ExitRequest is delivered to the engine when the thread's body returns.
 type ExitRequest struct{}
 
-// P is one simulated thread backed by a goroutine. The goroutine survives
-// the thread body: after the body returns (or the P is killed) it parks
-// waiting for the next life, so a Pool can reuse the goroutine and its
-// channels for a later thread — thread-per-request workloads create
-// millions of short-lived threads, and the goroutine + two channels were
-// the dominant allocation of the whole simulator.
+// P is one simulated thread backed by a runtime coroutine. The coroutine
+// survives the thread body: after the body returns (or the P is killed) it
+// parks waiting for the next life, so a Pool can reuse it for a later
+// thread — thread-per-request workloads create millions of short-lived
+// threads, and creating a coroutine per thread would be the dominant
+// allocation of the whole simulator.
 type P struct {
-	name    string
-	resume  chan any     // engine -> thread: response to last request
-	yield   chan Request // thread -> engine: next request
-	body    func(*Ctx)
+	name  string
+	body  func(*Ctx)
+	ctx   Ctx
+	resp  any // engine -> thread: response to the last request
+	next  func() (Request, bool)
+	stop  func()
+	yield func(Request) bool // thread -> engine: set once the coroutine runs
+
 	started bool
 	done    bool
 	killed  bool
 }
 
-// killSentinel unwinds a killed thread's body.
+// killSentinel unwinds a killed thread's body; the coroutine also yields it
+// back to Kill once the body has unwound.
 type killSentinel struct{}
 
-// stopSentinel makes a parked goroutine exit for good (Pool.Drain).
-type stopSentinel struct{}
-
-// New creates a simulated thread that will execute body. The goroutine is
-// not started until the first Resume.
+// New creates a simulated thread that will execute body. The body does not
+// start until the first Resume.
 func New(name string, body func(*Ctx)) *P {
 	p := newP()
 	p.name, p.body = name, body
@@ -50,37 +54,33 @@ func New(name string, body func(*Ctx)) *P {
 }
 
 func newP() *P {
-	p := &P{
-		resume: make(chan any),
-		yield:  make(chan Request),
-	}
-	go p.loop()
+	p := &P{}
+	p.ctx.p = p
+	p.next, p.stop = iter.Pull(p.loop)
 	return p
 }
 
-// loop runs thread lives: each iteration waits for the first Resume of a
-// life, executes the body, reports exit, and parks for possible reuse.
-func (p *P) loop() {
-	ctx := Ctx{p: p}
+// loop runs thread lives: each iteration is entered by the first Resume of
+// a life, executes the body, reports exit (or, if killed, hands control
+// back to Kill), and parks for possible reuse. A false yield means Stop.
+func (p *P) loop(yield func(Request) bool) {
+	p.yield = yield
 	for {
-		v := <-p.resume // first Resume of a life (value ignored), or a sentinel
-		switch v.(type) {
-		case killSentinel:
-			continue // killed before ever running; park for reuse
-		case stopSentinel:
+		var parked Request = killSentinel{}
+		if p.runBody() {
+			p.done = true
+			parked = ExitRequest{}
+		}
+		if !yield(parked) {
 			return
 		}
-		if p.runBody(&ctx) {
-			p.done = true
-			p.yield <- ExitRequest{}
-		}
-		// Killed mid-body: Kill's send is not answered with a yield. Either
-		// way the goroutine parks above, ready for a new life or a stop.
 	}
 }
 
-// runBody executes the current body, absorbing the kill unwind.
-func (p *P) runBody(c *Ctx) (completed bool) {
+// runBody executes the current body, absorbing the kill unwind. Any other
+// panic propagates out of the coroutine and re-panics from Resume, in the
+// engine's goroutine.
+func (p *P) runBody() (completed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killSentinel); ok {
@@ -89,7 +89,7 @@ func (p *P) runBody(c *Ctx) (completed bool) {
 			panic(r) // real bug in thread body: propagate
 		}
 	}()
-	p.body(c)
+	p.body(&p.ctx)
 	return true
 }
 
@@ -102,46 +102,51 @@ func (p *P) Done() bool { return p.done }
 // Resume runs the thread until it issues its next request, passing v as the
 // response to the previous request (ignored on first resume). It returns
 // the new request; ExitRequest{} means the body returned. Resume panics if
-// called on a finished or killed thread.
+// called on a finished or killed thread, and re-panics with the original
+// value if the body itself panics.
 func (p *P) Resume(v any) Request {
 	if p.done || p.killed {
 		panic(fmt.Sprintf("proc: Resume on finished thread %q", p.name))
 	}
 	p.started = true
-	p.resume <- v
-	return <-p.yield
+	p.resp = v
+	r, _ := p.next()
+	return r
 }
 
 // Kill terminates a parked (or never-started) thread's body. It is a no-op
 // for finished or already-killed threads. The engine must only call Kill
-// while the thread is parked, which is always the case under the strict-
-// handoff discipline. The goroutine itself survives, parked for reuse.
+// while the thread is parked, which always holds because only one side
+// runs at a time. A started thread's body unwinds (running its defers)
+// before Kill returns; a never-started one is simply marked. Either way the
+// coroutine survives, parked for reuse.
 func (p *P) Kill() {
 	if p.done || p.killed {
 		return
 	}
 	p.killed = true
-	p.resume <- killSentinel{}
-	// The body unwinds via the sentinel; no yield follows.
+	if p.started {
+		p.next() // Ask panics killSentinel; the coroutine yields it back
+	}
 }
 
-// Stop permanently ends a finished or killed P's goroutine. Pools call it
-// when draining; a P that is neither pooled nor stopped parks one goroutine
-// until process exit.
+// Stop permanently ends a finished or killed P's coroutine. Pools call it
+// when draining; a P that is neither pooled nor stopped keeps one parked
+// coroutine until process exit.
 func (p *P) Stop() {
 	if !p.done && !p.killed {
 		panic(fmt.Sprintf("proc: Stop on live thread %q", p.name))
 	}
-	p.resume <- stopSentinel{}
+	p.stop()
 }
 
-// Pool recycles finished Ps so later threads reuse the goroutine and its
-// channel pair. It is single-owner (an engine); it performs no locking.
+// Pool recycles finished Ps so later threads reuse their coroutines. It is
+// single-owner (an engine); it performs no locking.
 type Pool struct {
 	free []*P
 }
 
-// Get returns a P primed with body, reusing a pooled goroutine if one is
+// Get returns a P primed with body, reusing a pooled coroutine if one is
 // free.
 func (pl *Pool) Get(name string, body func(*Ctx)) *P {
 	var p *P
@@ -170,7 +175,7 @@ func (pl *Pool) Put(p *P) {
 // Size reports how many Ps are parked in the pool.
 func (pl *Pool) Size() int { return len(pl.free) }
 
-// Drain stops every pooled goroutine; engines call it at Shutdown so no
+// Drain stops every pooled coroutine; engines call it at Shutdown so no
 // parked goroutines outlive the simulation.
 func (pl *Pool) Drain() {
 	for _, p := range pl.free {
@@ -188,17 +193,15 @@ type Ctx struct {
 // If the engine kills the thread while parked, Ask never returns (the
 // body unwinds).
 func (c *Ctx) Ask(r Request) any {
-	c.p.yield <- r
-	v := <-c.p.resume
-	if _, ok := v.(killSentinel); ok {
+	p := c.p
+	p.yield(r)
+	if p.killed {
 		panic(killSentinel{})
 	}
+	v := p.resp
+	p.resp = nil
 	return v
 }
 
 // Name reports the thread's debug name.
 func (c *Ctx) Name() string { return c.p.name }
-
-// Gosched is a hook for tests: it yields the OS scheduler so leaked-
-// goroutine detection settles.
-func Gosched() { runtime.Gosched() }

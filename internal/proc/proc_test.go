@@ -3,7 +3,6 @@ package proc
 import (
 	"runtime"
 	"testing"
-	"time"
 )
 
 type testReq struct{ n int }
@@ -93,40 +92,36 @@ func TestKillParkedThread(t *testing.T) {
 	if _, ok := req.(testReq); !ok {
 		t.Fatalf("unexpected request %T", req)
 	}
-	p.Kill()
-	// Give the goroutine a chance to unwind, then verify idempotence.
-	for i := 0; i < 100; i++ {
-		runtime.Gosched()
-	}
+	p.Kill() // synchronous: the body has unwound when Kill returns
 	p.Kill() // second kill is a no-op
+	if p.Done() {
+		t.Error("killed thread reports Done")
+	}
+	p.Stop()
 }
 
 func TestKillNeverStartedThread(t *testing.T) {
 	ran := false
 	p := New("unborn", func(c *Ctx) { ran = true })
 	p.Kill()
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
+	p.Stop()
 	if ran {
 		t.Fatal("killed never-started thread still ran")
 	}
 }
 
 func TestKillRunsDefers(t *testing.T) {
-	deferred := make(chan bool, 1)
+	deferred := false
 	p := New("victim", func(c *Ctx) {
-		defer func() { deferred <- true }()
+		defer func() { deferred = true }()
 		c.Ask(testReq{})
 	})
 	p.Resume(nil)
 	p.Kill()
-	select {
-	case <-deferred:
-	case <-time.After(2 * time.Second):
+	if !deferred {
 		t.Fatal("deferred cleanup did not run on kill")
 	}
+	p.Stop()
 }
 
 func TestResumeAfterExitPanics(t *testing.T) {
@@ -138,4 +133,155 @@ func TestResumeAfterExitPanics(t *testing.T) {
 		}
 	}()
 	p.Resume(nil)
+}
+
+// TestPoolReuse ends a pooled thread's first life in each possible way and
+// checks the recycled P starts its second life clean: same coroutine, body
+// from the top, responses delivered, no state carried over.
+func TestPoolReuse(t *testing.T) {
+	cases := []struct {
+		name string
+		end  func(t *testing.T, p *P) // finishes the first life
+	}{
+		{"normal exit", func(t *testing.T, p *P) {
+			p.Resume(nil)
+			if _, ok := p.Resume(nil).(ExitRequest); !ok || !p.Done() {
+				t.Fatal("first life did not exit")
+			}
+		}},
+		{"kill mid-body", func(t *testing.T, p *P) {
+			p.Resume(nil)
+			p.Kill()
+		}},
+		{"kill before first resume", func(t *testing.T, p *P) {
+			p.Kill()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var pl Pool
+			var firstDeferred bool
+			first := pl.Get("first", func(c *Ctx) {
+				defer func() { firstDeferred = true }()
+				c.Ask(testReq{n: 1})
+			})
+			tc.end(t, first)
+			if first.started && !firstDeferred {
+				t.Fatal("first life's defers did not run")
+			}
+			pl.Put(first)
+			if pl.Size() != 1 {
+				t.Fatalf("pool size %d after Put, want 1", pl.Size())
+			}
+
+			var got []any
+			second := pl.Get("second", func(c *Ctx) {
+				got = append(got, c.Name(), c.Ask(testReq{n: 2}))
+			})
+			if second != first {
+				t.Fatal("pool did not reuse the P")
+			}
+			if second.Done() || second.killed || second.started {
+				t.Fatal("reused P carries state from its first life")
+			}
+			if r, ok := second.Resume(nil).(testReq); !ok || r.n != 2 {
+				t.Fatalf("second life's first request = %v, want testReq{2}", r)
+			}
+			if _, ok := second.Resume(42).(ExitRequest); !ok {
+				t.Fatal("second life did not exit")
+			}
+			if len(got) != 2 || got[0] != "second" || got[1] != 42 {
+				t.Fatalf("second life saw %v, want [second 42]", got)
+			}
+			pl.Put(second)
+			pl.Drain()
+		})
+	}
+}
+
+// TestDrainReapsGoroutines checks every coroutine behind a P is a real
+// goroutine while the P lives and is gone once Stop or Pool.Drain
+// returns, whichever way its last life ended.
+func TestDrainReapsGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var pl Pool
+	body := func(c *Ctx) { c.Ask(testReq{}) }
+	exited := pl.Get("exited", body)
+	exited.Resume(nil)
+	exited.Resume(nil)
+	midKill := pl.Get("mid-kill", body)
+	midKill.Resume(nil)
+	midKill.Kill()
+	unborn := pl.Get("unborn", body)
+	unborn.Kill()
+	alone := New("alone", body)
+	alone.Resume(nil)
+	alone.Kill()
+	if got := runtime.NumGoroutine(); got != base+4 {
+		t.Fatalf("goroutines = %d with 4 Ps, want %d", got, base+4)
+	}
+	for _, p := range []*P{exited, midKill, unborn} {
+		pl.Put(p)
+	}
+	pl.Drain()
+	alone.Stop()
+	if pl.Size() != 0 {
+		t.Fatalf("pool size %d after Drain", pl.Size())
+	}
+	if got := runtime.NumGoroutine(); got != base {
+		t.Fatalf("goroutines = %d after Drain/Stop, want baseline %d", got, base)
+	}
+}
+
+// TestBodyPanicSurfacesFromResume checks a genuine bug in a thread body
+// re-panics from Resume, in the caller's goroutine, with its own value.
+func TestBodyPanicSurfacesFromResume(t *testing.T) {
+	type bug struct{ msg string }
+	p := New("buggy", func(c *Ctx) {
+		c.Ask(testReq{})
+		panic(bug{"boom"})
+	})
+	p.Resume(nil)
+	defer func() {
+		if r := recover(); r != (bug{"boom"}) {
+			t.Fatalf("Resume panicked with %v, want bug{boom}", r)
+		}
+	}()
+	p.Resume(nil)
+	t.Fatal("Resume returned after the body panicked")
+}
+
+// BenchmarkResumeAsk measures one Resume→Ask round trip: the engine hands
+// a response in and the thread parks on its next request.
+func BenchmarkResumeAsk(b *testing.B) {
+	p := New("loop", func(c *Ctx) {
+		for {
+			c.Ask(testReq{})
+		}
+	})
+	b.ReportAllocs()
+	p.Resume(nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Resume(nil)
+	}
+	b.StopTimer()
+	p.Kill()
+	p.Stop()
+}
+
+// BenchmarkPoolLife measures one pooled thread life: Get, run one request,
+// exit, Put.
+func BenchmarkPoolLife(b *testing.B) {
+	var pl Pool
+	body := func(c *Ctx) { c.Ask(testReq{}) }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := pl.Get("life", body)
+		p.Resume(nil)
+		p.Resume(nil)
+		pl.Put(p)
+	}
+	b.StopTimer()
+	pl.Drain()
 }
