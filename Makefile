@@ -61,14 +61,19 @@ race-core:
 # still compile and run, not a measurement; the LSM pair's -benchmem line
 # makes an accidental per-SCAN sort or map visible, and the proc pair's
 # (one Resume→Ask round trip, one pooled thread life) a per-switch
-# allocation. Real numbers: see EXPERIMENTS.md ("Event-core performance")
-# and `go test -bench . -benchmem`.
+# allocation; the thread-per-request window (~100 NIC requests through
+# core + worksteal + server) and the runqueue cycle must show 0 allocs/op,
+# so a reintroduced per-request or per-enqueue allocation is visible here.
+# Real numbers: see EXPERIMENTS.md ("Event-core performance") and
+# `go test -bench . -benchmem`.
 .PHONY: bench-smoke
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkClock' -benchtime 100x -benchmem ./internal/simtime/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig7Sweep$$' -benchtime 1x -benchmem ./internal/bench/
 	$(GO) test -run '^$$' -bench 'BenchmarkLSM' -benchtime 100x -benchmem ./internal/apps/kvstore/
 	$(GO) test -run '^$$' -bench 'BenchmarkResumeAsk|BenchmarkPoolLife' -benchtime 100x -benchmem ./internal/proc/
+	$(GO) test -run '^$$' -bench 'BenchmarkThreadPerRequest' -benchtime 100x -benchmem ./internal/apps/server/
+	$(GO) test -run '^$$' -bench 'BenchmarkDeque' -benchtime 100x -benchmem ./internal/policy/
 
 # End-to-end observability smoke: run skyloft-trace with all four
 # observability outputs, verify the Perfetto JSON parses and has a slice

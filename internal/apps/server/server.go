@@ -60,25 +60,69 @@ func NewThreadPerRequest(sys apps.System, nic *netsim.NIC, rec *loadgen.Recorder
 // tracer: each request binds to its fresh thread at the delivery instant
 // (the handler body runs at a later event, so the bind precedes the first
 // dispatch) and replies when the handler returns.
+//
+// Each request's thread runs the body of a pooled request record (tprReq),
+// bound once when the record is created, so a request allocates nothing
+// once the pool has grown to the peak number of requests in flight.
 func NewThreadPerRequestObs(sys apps.System, nic *netsim.NIC, rec *loadgen.Recorder,
 	h Handler, ct CausalTracer) *Server {
 	s := &Server{Rec: rec, nic: nic}
+	pool := &tprPool{h: h, rec: rec, ct: ct}
 	for i := 0; i < nic.Rings(); i++ {
 		nic.OnRing(i, func(p netsim.Packet) {
-			t := sys.Start(reqName(p), func(e sched.Env) {
-				h(e, p)
-				now := e.Now()
-				rec.Record(now, p.Arrive, p.Service, p.Class)
-				if ct != nil {
-					ct.ReplyPacket(p.Seq, now)
-				}
-			})
+			r := pool.get(p)
+			t := sys.Start(reqName(p), r.body)
 			if ct != nil {
 				ct.BindPacket(p.Seq, t.ID, nic.Now())
 			}
 		})
 	}
 	return s
+}
+
+// tprPool is the free list of thread-per-request records of one server.
+type tprPool struct {
+	h    Handler
+	rec  *loadgen.Recorder
+	ct   CausalTracer
+	free *tprReq
+}
+
+// tprReq is one in-flight thread-per-request request: the packet its
+// thread serves and the thread body, a method value bound once. The record
+// belongs to the thread from Start until the body's last step, which
+// pushes it back on the free list.
+type tprReq struct {
+	pool *tprPool
+	p    netsim.Packet
+	next *tprReq
+	body sched.Func
+}
+
+func (pl *tprPool) get(p netsim.Packet) *tprReq {
+	r := pl.free
+	if r != nil {
+		pl.free = r.next
+		r.next = nil
+	} else {
+		r = &tprReq{pool: pl}
+		r.body = r.serve
+	}
+	r.p = p
+	return r
+}
+
+func (r *tprReq) serve(e sched.Env) {
+	pl, p := r.pool, r.p
+	pl.h(e, p)
+	now := e.Now()
+	pl.rec.Record(now, p.Arrive, p.Service, p.Class)
+	if pl.ct != nil {
+		pl.ct.ReplyPacket(p.Seq, now)
+	}
+	r.p = netsim.Packet{}
+	r.next = pl.free
+	pl.free = r
 }
 
 // NewWorkerPool attaches a worker-pool server: workers permanent threads

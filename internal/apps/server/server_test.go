@@ -108,3 +108,72 @@ func TestWorkloadClassMixes(t *testing.T) {
 		t.Fatalf("dispersive mean = %v, want ~54us", mean)
 	}
 }
+
+// tprWindow is the simulated span one steady-state step covers: ~100
+// requests at the fixture's 100 krps.
+const tprWindow = simtime.Millisecond
+
+func never() bool { return false }
+
+// newTPRFixture builds the Fig. 8a request path at toy size — a Skyloft
+// engine with work stealing, the NIC, server.NewThreadPerRequest with
+// RunService, open-loop USR load — and warms it past the pools' high-water
+// marks. step advances the run by one tprWindow with RunUntil.
+func newTPRFixture(tb testing.TB) (rec *loadgen.Recorder, step func()) {
+	tb.Helper()
+	m := hw.NewMachine(hw.DefaultConfig())
+	e := core.New(core.Config{
+		Machine: m, CPUs: []int{0, 1}, Mode: core.PerCPU,
+		Policy: worksteal.New(0, 1), Costs: core.SkyloftCosts(cycles.Default()),
+		TimerMode: core.TimerNone, Seed: 1,
+	})
+	tb.Cleanup(e.Shutdown)
+	app := e.NewApp("srv")
+	rec = loadgen.NewRecorder(0)
+	nic := netsim.NewNIC(m.Clock, m.Cost, 2)
+	server.NewThreadPerRequest(app, nic, rec, server.RunService)
+	gen := loadgen.New(100_000, server.USRClasses(), 64, 1)
+	server.Feed(gen, m.Clock, nic, 0)
+	tb.Cleanup(gen.Stop)
+
+	var horizon simtime.Time
+	step = func() {
+		horizon += simtime.Time(tprWindow)
+		e.RunUntil(horizon, never)
+	}
+	for i := 0; i < 50; i++ {
+		step()
+	}
+	return rec, step
+}
+
+// TestThreadPerRequestSteadyStateAllocs pins the allocation-free request
+// path: once warm, a window of ~100 NIC requests — each one a thread
+// created, enqueued, dispatched, run and exited, through pooled request
+// records, thread descriptors, policy task data, coroutines, ring
+// runqueues and unboxed thread requests — allocates nothing.
+func TestThreadPerRequestSteadyStateAllocs(t *testing.T) {
+	rec, step := newTPRFixture(t)
+	before := rec.Done
+	allocs := testing.AllocsPerRun(20, step)
+	if served := rec.Done - before; served < 20*50 {
+		t.Fatalf("only %d requests served in 21 windows; the fixture is idle", served)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state window of ~100 requests allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// BenchmarkThreadPerRequest measures one steady-state window (~100
+// requests) of the thread-per-request path; allocs/op must stay 0.
+func BenchmarkThreadPerRequest(b *testing.B) {
+	rec, step := newTPRFixture(b)
+	before := rec.Done
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(rec.Done-before)/float64(b.N), "reqs/op")
+}

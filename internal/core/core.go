@@ -658,7 +658,7 @@ func (e *Engine) getUthread(name string, app int) *uthread {
 	t.RecordWakeup = false
 	t.WakeArmed = false
 	t.Remaining = 0
-	t.PolData = nil
+	// PolData is kept: the policy's TaskInit resets it in place.
 	u.sleepEv = simtime.Event{}
 	u.quickSvc = 0
 	u.quickRan = false
@@ -1069,11 +1069,11 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 		req := p.Resume(resp)
 		resp = nil
 		switch r := req.(type) {
-		case sched.RunReq:
+		case *sched.RunReq:
 			t.Remaining = r.D
 			e.dispatch(c, t)
 			return
-		case sched.YieldReq:
+		case *sched.YieldReq:
 			c.hwc.Exec(e.ec.Yield, nil)
 			e.emit(trace.Yield, c.idx, t, 0)
 			t.State = sched.Runnable
@@ -1086,7 +1086,7 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 			}
 			e.scheduleNext(c)
 			return
-		case sched.BlockReq:
+		case *sched.BlockReq:
 			if t.WakePending {
 				t.WakePending = false
 				continue
@@ -1099,7 +1099,7 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 			c.setCurr(nil)
 			e.scheduleNext(c)
 			return
-		case sched.SleepReq:
+		case *sched.SleepReq:
 			e.emit(trace.Sleep, c.idx, t, int64(r.D))
 			t.State = sched.Sleeping
 			u := ut(t)
@@ -1107,7 +1107,7 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 			c.setCurr(nil)
 			e.scheduleNext(c)
 			return
-		case sched.IOReq:
+		case *sched.IOReq:
 			// Asynchronous I/O (§6 mitigation): submit from user space,
 			// park the thread, and keep the core schedulable.
 			c.hwc.Exec(e.cost.Syscall/2, nil)
@@ -1118,7 +1118,7 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 			c.setCurr(nil)
 			e.scheduleNext(c)
 			return
-		case sched.FaultReq:
+		case *sched.FaultReq:
 			e.emit(trace.Fault, c.idx, t, int64(r.D))
 			// Passive blocking (§6 hazard): the active kernel thread
 			// stalls inside the kernel, so the whole isolated core is
@@ -1132,7 +1132,7 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 				e.resumeThread(c, t, nil)
 			})
 			return
-		case sched.SpawnReq:
+		case *sched.SpawnReq:
 			child := e.newThread(e.apps[t.App], r.Name, r.Body)
 			child.State = sched.Runnable
 			if e.ec.Spawn > 0 {
@@ -1148,17 +1148,18 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 			}
 			e.submit(child, EnqNew)
 			resp = child
-		case sched.WakeReq:
+		case *sched.WakeReq:
+			target := r.T
 			if e.ec.WakePath > 0 {
 				c.inRuntime = true
 				c.hwc.Exec(e.ec.WakePath, func() {
 					c.inRuntime = false
-					e.wake(nil, r.T)
+					e.wake(nil, target)
 					e.resumeThread(c, t, nil)
 				})
 				return
 			}
-			e.wake(nil, r.T)
+			e.wake(nil, target)
 		case proc.ExitRequest:
 			e.finishThread(c, t)
 			return
@@ -1203,10 +1204,24 @@ func (e *Engine) finishThread(c *coreCtx, t *sched.Thread) {
 
 // ---- Env implementation ----
 
+// uenv is a thread's Env. It owns one request slot per request type: Ask
+// passes a pointer to the slot, so issuing a request never boxes a value
+// into an interface (no allocation per Run, Sleep or Spawn). A thread has
+// at most one request outstanding and the engine reads the slot before it
+// resumes the thread, so one slot per type is enough.
 type uenv struct {
 	e   *Engine
 	t   *sched.Thread
 	ctx *proc.Ctx
+
+	run   sched.RunReq
+	yield sched.YieldReq
+	block sched.BlockReq
+	sleep sched.SleepReq
+	io    sched.IOReq
+	fault sched.FaultReq
+	spawn sched.SpawnReq
+	wake  sched.WakeReq
 }
 
 func (v *uenv) Now() simtime.Time   { return v.e.m.Now() }
@@ -1217,18 +1232,37 @@ func (v *uenv) Run(d simtime.Duration) {
 	if d <= 0 {
 		return
 	}
-	v.ctx.Ask(sched.RunReq{D: d})
+	v.run.D = d
+	v.ctx.Ask(&v.run)
 }
 
-func (v *uenv) Yield()                   { v.ctx.Ask(sched.YieldReq{}) }
-func (v *uenv) Block()                   { v.ctx.Ask(sched.BlockReq{}) }
-func (v *uenv) Sleep(d simtime.Duration) { v.ctx.Ask(sched.SleepReq{D: d}) }
-func (v *uenv) IO(d simtime.Duration)    { v.ctx.Ask(sched.IOReq{D: d}) }
-func (v *uenv) Fault(d simtime.Duration) { v.ctx.Ask(sched.FaultReq{D: d}) }
-func (v *uenv) Wake(t *sched.Thread)     { v.ctx.Ask(sched.WakeReq{T: t}) }
+func (v *uenv) Yield() { v.ctx.Ask(&v.yield) }
+func (v *uenv) Block() { v.ctx.Ask(&v.block) }
+
+func (v *uenv) Sleep(d simtime.Duration) {
+	v.sleep.D = d
+	v.ctx.Ask(&v.sleep)
+}
+
+func (v *uenv) IO(d simtime.Duration) {
+	v.io.D = d
+	v.ctx.Ask(&v.io)
+}
+
+func (v *uenv) Fault(d simtime.Duration) {
+	v.fault.D = d
+	v.ctx.Ask(&v.fault)
+}
+
+func (v *uenv) Wake(t *sched.Thread) {
+	v.wake.T = t
+	v.ctx.Ask(&v.wake)
+}
 
 func (v *uenv) Spawn(name string, body sched.Func) *sched.Thread {
-	r := v.ctx.Ask(sched.SpawnReq{Name: name, Body: body})
+	v.spawn = sched.SpawnReq{Name: name, Body: body}
+	r := v.ctx.Ask(&v.spawn)
+	v.spawn = sched.SpawnReq{} // the pooled env must not keep body alive
 	return r.(*sched.Thread)
 }
 

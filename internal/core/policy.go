@@ -33,10 +33,14 @@ type Policy interface {
 	SchedInit(ncpu int)
 
 	// TaskInit initialises the policy-defined field of a new task
-	// (task_init). The task is not yet runnable.
+	// (task_init). The task is not yet runnable. The engine recycles
+	// thread descriptors, so PolData may still hold the object the policy
+	// set in the descriptor's previous life: reset it in place
+	// (policy.ResetData) rather than allocating a new one.
 	TaskInit(t *sched.Thread)
 
-	// TaskTerminate releases the policy-defined field (task_terminate).
+	// TaskTerminate is called when a task exits (task_terminate). PolData
+	// stays with the descriptor for its next life.
 	TaskTerminate(t *sched.Thread)
 
 	// TaskEnqueue puts a task on the runqueue of cpu (task_enqueue).

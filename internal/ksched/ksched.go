@@ -714,11 +714,11 @@ func (k *Kernel) resumeThread(c *cpu, t *sched.Thread, resp any) {
 		req := p.Resume(resp)
 		resp = nil
 		switch r := req.(type) {
-		case sched.RunReq:
+		case *sched.RunReq:
 			t.Remaining = r.D
 			c.dispatch(t)
 			return
-		case sched.YieldReq:
+		case *sched.YieldReq:
 			// sched_yield: the cost is realised by the kthread context
 			// switch that follows in schedule().
 			t.State = sched.Runnable
@@ -726,7 +726,7 @@ func (k *Kernel) resumeThread(c *cpu, t *sched.Thread, resp any) {
 			c.enqueue(t, false)
 			c.schedule()
 			return
-		case sched.BlockReq:
+		case *sched.BlockReq:
 			if t.WakePending {
 				t.WakePending = false
 				continue
@@ -736,21 +736,21 @@ func (k *Kernel) resumeThread(c *cpu, t *sched.Thread, resp any) {
 			c.setCurr(nil)
 			c.schedule()
 			return
-		case sched.SleepReq:
+		case *sched.SleepReq:
 			c.parkFor(t, r.D)
 			return
-		case sched.IOReq:
+		case *sched.IOReq:
 			// Blocking I/O through the kernel: a syscall, then the kernel
 			// schedules another kthread while the I/O completes.
 			c.hwc.Exec(k.cost.Syscall, nil)
 			c.parkFor(t, r.D)
 			return
-		case sched.FaultReq:
+		case *sched.FaultReq:
 			// A page fault parks the faulting kthread; Linux handles this
 			// naturally by running someone else on the core.
 			c.parkFor(t, r.D)
 			return
-		case sched.SpawnReq:
+		case *sched.SpawnReq:
 			// pthread_create: mode switches + kernel setup occupy the
 			// caller before the child becomes runnable.
 			child := k.newThread(r.Name, k.classOf(t), r.Body)
@@ -765,12 +765,13 @@ func (k *Kernel) resumeThread(c *cpu, t *sched.Thread, resp any) {
 				k.resumeThread(c, t, child)
 			})
 			return
-		case sched.WakeReq:
+		case *sched.WakeReq:
 			// futex wake: a syscall on the waker's CPU.
+			target := r.T
 			c.inRuntime = true
 			c.hwc.Exec(k.cost.Syscall, func() {
 				c.inRuntime = false
-				k.wake(r.T)
+				k.wake(target)
 				k.resumeThread(c, t, nil)
 			})
 			return
@@ -793,10 +794,21 @@ func (k *Kernel) classOf(t *sched.Thread) Class { return kt(t).class }
 
 // ---- Env implementation ----
 
+// kenv is a thread's Env. Like core's, it owns one request slot per
+// request type and asks with a pointer to it, so no request is boxed.
 type kenv struct {
 	k   *Kernel
 	t   *sched.Thread
 	ctx *proc.Ctx
+
+	run   sched.RunReq
+	yield sched.YieldReq
+	block sched.BlockReq
+	sleep sched.SleepReq
+	io    sched.IOReq
+	fault sched.FaultReq
+	spawn sched.SpawnReq
+	wake  sched.WakeReq
 }
 
 func (e *kenv) Now() simtime.Time   { return e.k.m.Now() }
@@ -807,18 +819,37 @@ func (e *kenv) Run(d simtime.Duration) {
 	if d <= 0 {
 		return
 	}
-	e.ctx.Ask(sched.RunReq{D: d})
+	e.run.D = d
+	e.ctx.Ask(&e.run)
 }
 
-func (e *kenv) Yield()                   { e.ctx.Ask(sched.YieldReq{}) }
-func (e *kenv) Block()                   { e.ctx.Ask(sched.BlockReq{}) }
-func (e *kenv) Sleep(d simtime.Duration) { e.ctx.Ask(sched.SleepReq{D: d}) }
-func (e *kenv) IO(d simtime.Duration)    { e.ctx.Ask(sched.IOReq{D: d}) }
-func (e *kenv) Fault(d simtime.Duration) { e.ctx.Ask(sched.FaultReq{D: d}) }
-func (e *kenv) Wake(t *sched.Thread)     { e.ctx.Ask(sched.WakeReq{T: t}) }
+func (e *kenv) Yield() { e.ctx.Ask(&e.yield) }
+func (e *kenv) Block() { e.ctx.Ask(&e.block) }
+
+func (e *kenv) Sleep(d simtime.Duration) {
+	e.sleep.D = d
+	e.ctx.Ask(&e.sleep)
+}
+
+func (e *kenv) IO(d simtime.Duration) {
+	e.io.D = d
+	e.ctx.Ask(&e.io)
+}
+
+func (e *kenv) Fault(d simtime.Duration) {
+	e.fault.D = d
+	e.ctx.Ask(&e.fault)
+}
+
+func (e *kenv) Wake(t *sched.Thread) {
+	e.wake.T = t
+	e.ctx.Ask(&e.wake)
+}
 
 func (e *kenv) Spawn(name string, body sched.Func) *sched.Thread {
-	v := e.ctx.Ask(sched.SpawnReq{Name: name, Body: body})
+	e.spawn = sched.SpawnReq{Name: name, Body: body}
+	v := e.ctx.Ask(&e.spawn)
+	e.spawn = sched.SpawnReq{} // do not keep body alive past the request
 	return v.(*sched.Thread)
 }
 

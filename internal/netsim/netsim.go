@@ -7,6 +7,7 @@ package netsim
 
 import (
 	"skyloft/internal/cycles"
+	"skyloft/internal/fifo"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
 )
@@ -186,8 +187,8 @@ func (n *NIC) Deliver(p Packet) {
 // wake blocked consumers through the engine's Waker.
 type Ring struct {
 	w       Waker
-	items   []Packet
-	waiters []*sched.Thread
+	items   fifo.Ring[Packet]
+	waiters fifo.Ring[*sched.Thread]
 }
 
 // NewRing creates a ring bound to a waker.
@@ -196,34 +197,24 @@ func NewRing(w Waker) *Ring { return &Ring{w: w} }
 // PushExternal appends a packet from outside thread context (the NIC) and
 // wakes one blocked consumer.
 func (r *Ring) PushExternal(p Packet) {
-	r.items = append(r.items, p)
-	if len(r.waiters) > 0 {
-		t := r.waiters[0]
-		r.waiters = r.waiters[1:]
+	r.items.PushBack(p)
+	if t, ok := r.waiters.PopFront(); ok {
 		r.w.ExternalWake(t)
 	}
 }
 
 // Pop removes the head packet, blocking the calling thread while empty.
 func (r *Ring) Pop(e sched.Env) Packet {
-	for len(r.items) == 0 {
-		r.waiters = append(r.waiters, e.Self())
+	for r.items.Len() == 0 {
+		r.waiters.PushBack(e.Self())
 		e.Block()
 	}
-	p := r.items[0]
-	r.items = r.items[1:]
+	p, _ := r.items.PopFront()
 	return p
 }
 
 // TryPop removes the head packet without blocking.
-func (r *Ring) TryPop() (Packet, bool) {
-	if len(r.items) == 0 {
-		return Packet{}, false
-	}
-	p := r.items[0]
-	r.items = r.items[1:]
-	return p, true
-}
+func (r *Ring) TryPop() (Packet, bool) { return r.items.PopFront() }
 
 // Len reports queued packets.
-func (r *Ring) Len() int { return len(r.items) }
+func (r *Ring) Len() int { return r.items.Len() }

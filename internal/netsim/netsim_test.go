@@ -99,7 +99,7 @@ func TestRingPushWakesWaiter(t *testing.T) {
 	}
 	// Simulate a parked consumer (engine-level bookkeeping only).
 	th := &sched.Thread{ID: 1}
-	r.waiters = append(r.waiters, th)
+	r.waiters.PushBack(th)
 	r.PushExternal(Packet{Seq: 9})
 	if len(w.woken) != 1 || w.woken[0] != th {
 		t.Fatal("push did not wake the waiter")

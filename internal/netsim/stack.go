@@ -9,6 +9,7 @@ package netsim
 import (
 	"fmt"
 
+	"skyloft/internal/fifo"
 	"skyloft/internal/rng"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
@@ -204,8 +205,8 @@ type Datagram struct {
 type UDPSocket struct {
 	s       *Stack
 	port    uint16
-	queue   []Datagram
-	waiters []*sched.Thread
+	queue   fifo.Ring[Datagram]
+	waiters fifo.Ring[*sched.Thread]
 	handler func(Datagram)
 
 	rxCount uint64
@@ -246,23 +247,14 @@ func (s *Stack) rxUDP(src IP, h UDPHeader, data []byte) {
 		u.handler(d)
 		return
 	}
-	u.queue = append(u.queue, d)
-	if len(u.waiters) > 0 {
-		t := u.waiters[0]
-		u.waiters = u.waiters[1:]
+	u.queue.PushBack(d)
+	if t, ok := u.waiters.PopFront(); ok {
 		s.wake(t)
 	}
 }
 
 // TryRecv returns a queued datagram without blocking.
-func (u *UDPSocket) TryRecv() (Datagram, bool) {
-	if len(u.queue) == 0 {
-		return Datagram{}, false
-	}
-	d := u.queue[0]
-	u.queue = u.queue[1:]
-	return d, true
-}
+func (u *UDPSocket) TryRecv() (Datagram, bool) { return u.queue.PopFront() }
 
 // RecvFrom blocks the calling thread until a datagram arrives.
 func (u *UDPSocket) RecvFrom(e sched.Env) Datagram {
@@ -270,7 +262,7 @@ func (u *UDPSocket) RecvFrom(e sched.Env) Datagram {
 		if d, ok := u.TryRecv(); ok {
 			return d
 		}
-		u.waiters = append(u.waiters, e.Self())
+		u.waiters.PushBack(e.Self())
 		e.Block()
 	}
 }

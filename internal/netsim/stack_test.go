@@ -124,10 +124,10 @@ func TestTCPHandshakeAndTransfer(t *testing.T) {
 	if cli.State() != TCPEstablished {
 		t.Fatalf("client state %v after handshake", cli.State())
 	}
-	if len(l.backlog) != 1 {
-		t.Fatalf("listener backlog = %d", len(l.backlog))
+	if l.backlog.Len() != 1 {
+		t.Fatalf("listener backlog = %d", l.backlog.Len())
 	}
-	srvConn := l.backlog[0]
+	srvConn, _ := l.backlog.PopFront()
 	if srvConn.State() != TCPEstablished {
 		t.Fatalf("server conn state %v", srvConn.State())
 	}

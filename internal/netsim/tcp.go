@@ -8,6 +8,7 @@ package netsim
 import (
 	"fmt"
 
+	"skyloft/internal/fifo"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
 )
@@ -78,8 +79,8 @@ type txSegment struct {
 type TCPListener struct {
 	s       *Stack
 	port    uint16
-	backlog []*TCPConn
-	waiters []*sched.Thread
+	backlog fifo.Ring[*TCPConn]
+	waiters fifo.Ring[*sched.Thread]
 }
 
 // ListenTCP starts listening on port.
@@ -95,12 +96,10 @@ func (s *Stack) ListenTCP(port uint16) (*TCPListener, error) {
 // Accept blocks until an inbound connection completes its handshake.
 func (l *TCPListener) Accept(e sched.Env) *TCPConn {
 	for {
-		if len(l.backlog) > 0 {
-			c := l.backlog[0]
-			l.backlog = l.backlog[1:]
+		if c, ok := l.backlog.PopFront(); ok {
 			return c
 		}
-		l.waiters = append(l.waiters, e.Self())
+		l.waiters.PushBack(e.Self())
 		e.Block()
 	}
 }
@@ -332,10 +331,8 @@ func (c *TCPConn) onSegment(h TCPHeader, data []byte) {
 		if h.Flags&TCPAck != 0 {
 			c.state = TCPEstablished
 			if c.listener != nil {
-				c.listener.backlog = append(c.listener.backlog, c)
-				if len(c.listener.waiters) > 0 {
-					t := c.listener.waiters[0]
-					c.listener.waiters = c.listener.waiters[1:]
+				c.listener.backlog.PushBack(c)
+				if t, ok := c.listener.waiters.PopFront(); ok {
 					c.s.wake(t)
 				}
 			}

@@ -177,6 +177,10 @@ type Tracer struct {
 	cores    map[int]*coreState
 
 	top []*Exemplar // sorted: worst sojourn first, ID ascending on ties
+
+	// free holds closed journeys for reuse, hops backing arrays included,
+	// so a traced request allocates nothing unless it enters the top-K.
+	free []*journey
 }
 
 // New creates a tracer.
@@ -249,11 +253,11 @@ func (t *Tracer) core(cpu int) *coreState {
 func (t *Tracer) PacketArrived(p netsim.Packet, ring int) {
 	t.nextID++
 	t.started++
-	j := &journey{
+	j := t.open(journey{
 		id: t.nextID, kind: "request", srcSeq: p.Seq,
 		class: p.Class, flow: p.Flow, ring: ring, demand: p.Service,
 		arrive: p.Arrive, deliver: p.Arrive,
-	}
+	})
 	t.bySeq[p.Seq] = j
 }
 
@@ -293,11 +297,11 @@ func (t *Tracer) ReplyPacket(seq uint64, at simtime.Time) {
 func (t *Tracer) BeginDirect(seq uint64, at simtime.Time, class int, service simtime.Duration, flow uint64) {
 	t.nextID++
 	t.started++
-	j := &journey{
+	j := t.open(journey{
 		id: t.nextID, kind: "request", srcSeq: seq, direct: true,
 		class: class, flow: flow, ring: -1, demand: service,
 		arrive: at, deliver: at,
-	}
+	})
 	t.byDirect[seq] = j
 }
 
@@ -439,11 +443,11 @@ func (t *Tracer) onWake(ev trace.Event) {
 		}
 		t.nextID++
 		t.started++
-		j := &journey{
+		j := t.open(journey{
 			id: t.nextID, kind: "episode", class: -1, ring: -1,
 			task: ev.Task, app: ev.App, bound: true,
 			arrive: ev.At, deliver: ev.At, readySince: ev.At,
-		}
+		})
 		t.byTask[ev.Task] = j
 		return
 	}
@@ -482,11 +486,35 @@ func (t *Tracer) finish(j *journey, at simtime.Time) {
 	t.completed++
 	t.unlink(j)
 	t.offer(j, sojourn)
+	t.release(j)
 }
 
 func (t *Tracer) abandon(j *journey) {
 	t.abandoned++
 	t.unlink(j)
+	t.release(j)
+}
+
+// open returns a journey initialised to init, reusing a released record
+// (and its hops backing array) when one is free.
+func (t *Tracer) open(init journey) *journey {
+	var j *journey
+	if n := len(t.free); n > 0 {
+		j = t.free[n-1]
+		t.free[n-1] = nil
+		t.free = t.free[:n-1]
+		init.hops = j.hops[:0]
+	} else {
+		j = new(journey)
+	}
+	*j = init
+	return j
+}
+
+// release returns a closed journey, already unlinked from every index, to
+// the free list. The caller must not touch j afterwards.
+func (t *Tracer) release(j *journey) {
+	t.free = append(t.free, j)
 }
 
 func (t *Tracer) unlink(j *journey) {
@@ -511,7 +539,8 @@ func worse(aSojourn simtime.Duration, aID uint64, bSojourn simtime.Duration, bID
 	return aID < bID
 }
 
-// offer inserts the finished journey into the top-K if it qualifies.
+// offer inserts the finished journey into the top-K if it qualifies. The
+// exemplar gets its own copy of the hops: the journey's array is reused.
 func (t *Tracer) offer(j *journey, sojourn simtime.Duration) {
 	if len(t.top) == t.cfg.K {
 		last := t.top[len(t.top)-1]
@@ -523,7 +552,7 @@ func (t *Tracer) offer(j *journey, sojourn simtime.Duration) {
 		ID: j.id, Kind: j.kind, Task: j.task, App: j.app,
 		Class: j.class, Flow: j.flow, Ring: j.ring,
 		Arrive: j.arrive, Sojourn: sojourn, Demand: j.demand,
-		Breakdown: j.b, Hops: j.hops,
+		Breakdown: j.b, Hops: append([]Hop(nil), j.hops...),
 	}
 	// Insert in sorted position (K is small; linear scan from the back).
 	t.top = append(t.top, ex)

@@ -199,10 +199,14 @@ type Bus struct {
 	dispatches, wakes, preempts, steals, injects uint64
 	leaseGrants, leaseRevokes, leaseReturns      uint64
 
+	// Window accumulators, reset in place at every window close: apps holds
+	// the apps seen this window, accs every app's accumulator ever made
+	// (its histogram is reused rather than reallocated per window).
 	wakeHist *stats.Hist
 	pending  map[int]pendingWake
 	apps     map[int]*appAcc
-	starved  map[int]*starvAcc
+	accs     map[int]*appAcc
+	starved  map[int]starvAcc
 
 	prev map[string]float64 // last metrics snapshot, for deltas
 
@@ -242,7 +246,8 @@ func Attach(cfg Config, src Source) *Bus {
 		wakeHist:   stats.NewHist(),
 		pending:    map[int]pendingWake{},
 		apps:       map[int]*appAcc{},
-		starved:    map[int]*starvAcc{},
+		accs:       map[int]*appAcc{},
+		starved:    map[int]starvAcc{},
 		prev:       map[string]float64{},
 		streamHash: fnvOffset,
 	}
@@ -319,25 +324,34 @@ func (b *Bus) bumpDepth() {
 	}
 }
 
+// app returns id's accumulator for the current window, clearing the one
+// left from an earlier window on the app's first event in this one.
 func (b *Bus) app(id int) *appAcc {
 	a := b.apps[id]
 	if a == nil {
-		a = &appAcc{hist: stats.NewHist()}
+		a = b.accs[id]
+		if a == nil {
+			a = &appAcc{hist: stats.NewHist()}
+			b.accs[id] = a
+		} else {
+			a.completed, a.run = 0, 0
+			a.hist.Reset()
+		}
 		b.apps[id] = a
 	}
 	return a
 }
 
 func (b *Bus) starve(app int, firstAt simtime.Time, lat simtime.Duration) {
-	s := b.starved[app]
-	if s == nil {
-		s = &starvAcc{firstAt: firstAt}
-		b.starved[app] = s
+	s, ok := b.starved[app]
+	if !ok {
+		s.firstAt = firstAt
 	}
 	s.count++
 	if lat > s.worst {
 		s.worst = lat
 	}
+	b.starved[app] = s
 }
 
 // tick is the boundary event: close windows up to now and re-arm. On the
@@ -406,9 +420,9 @@ func (b *Bus) publish(partial bool) {
 	b.depthHW = b.depth
 	b.dispatches, b.wakes, b.preempts, b.steals, b.injects = 0, 0, 0, 0, 0
 	b.leaseGrants, b.leaseRevokes, b.leaseReturns = 0, 0, 0
-	b.wakeHist = stats.NewHist()
-	b.apps = map[int]*appAcc{}
-	b.starved = map[int]*starvAcc{}
+	b.wakeHist.Reset()
+	clear(b.apps)
+	clear(b.starved)
 	b.dirty = false
 }
 

@@ -314,3 +314,26 @@ func readJSON(t *testing.T, path string, v any) {
 		t.Fatalf("decoding %s: %v", path, err)
 	}
 }
+
+// TestStreamHashGolden pins the stream hash of the shared workload, with
+// the default starvation threshold and with one low enough to raise
+// findings. The window accumulators (wake histograms, per-app and
+// starvation maps) are reset in place at every window close rather than
+// reallocated; these hashes were captured when they were still rebuilt per
+// window, so any state leaking from one window into the next changes them.
+func TestStreamHashGolden(t *testing.T) {
+	if got := runLive(t, 7, 0, nil).stream; got != 0x9ddf557a49c8fb26 {
+		t.Errorf("stream hash %#x, want 0x9ddf557a49c8fb26", got)
+	}
+	starving := runLive(t, 7, 0, func(c *live.Config) { c.Starvation = 5 * simtime.Microsecond })
+	findings := 0
+	for _, s := range starving.hist {
+		findings += len(s.Findings)
+	}
+	if findings == 0 {
+		t.Fatal("low starvation threshold raised no findings; the pin covers nothing")
+	}
+	if starving.stream != 0x9d45187cde7a0d70 {
+		t.Errorf("starving stream hash %#x, want 0x9d45187cde7a0d70", starving.stream)
+	}
+}

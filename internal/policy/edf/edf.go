@@ -41,9 +41,11 @@ func (p *Policy) Name() string { return "skyloft-edf" }
 
 func (p *Policy) SchedInit(ncpu int) { p.rq = make([][]*sched.Thread, ncpu) }
 
-func (p *Policy) TaskInit(t *sched.Thread) { t.PolData = &taskData{relative: p.Relative} }
+func (p *Policy) TaskInit(t *sched.Thread) {
+	policy.ResetData[taskData](t).relative = p.Relative
+}
 
-func (p *Policy) TaskTerminate(t *sched.Thread) { t.PolData = nil }
+func (p *Policy) TaskTerminate(t *sched.Thread) {}
 
 // SetRelative overrides one task's relative deadline (call after spawn).
 func (p *Policy) SetRelative(t *sched.Thread, d simtime.Duration) {

@@ -60,9 +60,9 @@ func (p *Policy) Name() string { return "skyloft-eevdf" }
 
 func (p *Policy) SchedInit(ncpu int) { p.rq = make([]runqueue, ncpu) }
 
-func (p *Policy) TaskInit(t *sched.Thread) { t.PolData = &taskData{} }
+func (p *Policy) TaskInit(t *sched.Thread) { policy.ResetData[taskData](t) }
 
-func (p *Policy) TaskTerminate(t *sched.Thread) { t.PolData = nil }
+func (p *Policy) TaskTerminate(t *sched.Thread) {}
 
 func (rq *runqueue) avg(extra *taskData) float64 {
 	sum, n := rq.sum, rq.n

@@ -67,8 +67,8 @@ func (p *Policy) SchedInit(ncpu int) {
 	}
 }
 
-func (p *Policy) TaskInit(t *sched.Thread)      { t.PolData = &taskData{} }
-func (p *Policy) TaskTerminate(t *sched.Thread) { t.PolData = nil }
+func (p *Policy) TaskInit(t *sched.Thread)      { policy.ResetData[taskData](t) }
+func (p *Policy) TaskTerminate(t *sched.Thread) {}
 
 func (p *Policy) quantum(level int) simtime.Duration {
 	return p.P.BaseQuantum << uint(level)

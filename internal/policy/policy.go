@@ -4,7 +4,10 @@
 // hundred lines — the point of Table 4.
 package policy
 
-import "skyloft/internal/sched"
+import (
+	"skyloft/internal/fifo"
+	"skyloft/internal/sched"
+)
 
 // Placer implements the standard wakeup placement: the last CPU if idle,
 // otherwise any idle CPU, otherwise the task's last CPU; tasks that never
@@ -31,38 +34,48 @@ func (p *Placer) Pick(t *sched.Thread, idle []bool) int {
 	return cpu
 }
 
-// Deque is a simple double-ended task queue.
+// Deque is a per-CPU task runqueue: FIFO at the front, with PopBack for
+// stealing and PushFront for requeueing at the head. It is a ring buffer
+// (fifo.Ring), so every operation is O(1) and a queue in steady state
+// allocates nothing.
 type Deque struct {
-	items []*sched.Thread
+	r fifo.Ring[*sched.Thread]
 }
 
 // PushBack appends t.
-func (d *Deque) PushBack(t *sched.Thread) { d.items = append(d.items, t) }
+func (d *Deque) PushBack(t *sched.Thread) { d.r.PushBack(t) }
 
 // PushFront prepends t.
-func (d *Deque) PushFront(t *sched.Thread) {
-	d.items = append([]*sched.Thread{t}, d.items...)
-}
+func (d *Deque) PushFront(t *sched.Thread) { d.r.PushFront(t) }
 
 // PopFront removes and returns the head, or nil.
 func (d *Deque) PopFront() *sched.Thread {
-	if len(d.items) == 0 {
-		return nil
-	}
-	t := d.items[0]
-	d.items = d.items[1:]
+	t, _ := d.r.PopFront()
 	return t
 }
 
 // PopBack removes and returns the tail, or nil.
 func (d *Deque) PopBack() *sched.Thread {
-	if len(d.items) == 0 {
-		return nil
-	}
-	t := d.items[len(d.items)-1]
-	d.items = d.items[:len(d.items)-1]
+	t, _ := d.r.PopBack()
 	return t
 }
 
 // Len reports the queue length.
-func (d *Deque) Len() int { return len(d.items) }
+func (d *Deque) Len() int { return d.r.Len() }
+
+// ResetData returns t's policy-defined field as a zeroed *T, for a policy's
+// TaskInit. The engine recycles thread descriptors and a recycled thread
+// still carries the *T of its previous life, so that object is cleared in
+// place; a new one is allocated only when t carries none (a fresh thread)
+// or another policy's type.
+func ResetData[T any](t *sched.Thread) *T {
+	d, ok := t.PolData.(*T)
+	if !ok || d == nil {
+		d = new(T)
+		t.PolData = d
+		return d
+	}
+	var zero T
+	*d = zero
+	return d
+}

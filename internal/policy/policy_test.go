@@ -139,3 +139,77 @@ func TestQuickDequeVsReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// dequeCycle is one warmed runqueue round: enqueue, requeue at the head,
+// dispatch from the front and steal from the back.
+func dequeCycle(d *Deque, a, b, c *sched.Thread) {
+	d.PushBack(a)
+	d.PushBack(b)
+	d.PushFront(c)
+	d.PopFront()
+	d.PopBack()
+	d.PopFront()
+}
+
+// TestDequeSteadyStateAllocs: once a runqueue has reached its high-water
+// mark, a push/pop/PushFront/PopBack cycle allocates nothing.
+func TestDequeSteadyStateAllocs(t *testing.T) {
+	var d Deque
+	a, b, c := &sched.Thread{ID: 1}, &sched.Thread{ID: 2}, &sched.Thread{ID: 3}
+	for i := 0; i < 5; i++ {
+		d.PushBack(a) // a standing backlog, so the cycle slides across the ring
+	}
+	dequeCycle(&d, a, b, c)
+	if allocs := testing.AllocsPerRun(1000, func() { dequeCycle(&d, a, b, c) }); allocs != 0 {
+		t.Fatalf("warmed Deque cycle allocates %.1f objects, want 0", allocs)
+	}
+}
+
+func BenchmarkDeque(b *testing.B) {
+	var d Deque
+	x, y, z := &sched.Thread{ID: 1}, &sched.Thread{ID: 2}, &sched.Thread{ID: 3}
+	dequeCycle(&d, x, y, z)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dequeCycle(&d, x, y, z)
+	}
+}
+
+type dataA struct{ x, y int }
+type dataB struct{ z int }
+
+func TestResetDataReusesAndClears(t *testing.T) {
+	th := &sched.Thread{}
+	d := ResetData[dataA](th)
+	if th.PolData != any(d) {
+		t.Fatal("ResetData did not install its object in PolData")
+	}
+	d.x, d.y = 3, 4
+	again := ResetData[dataA](th)
+	if again != d {
+		t.Fatal("ResetData allocated although PolData held a *T")
+	}
+	if *again != (dataA{}) {
+		t.Fatalf("ResetData left state %+v, want zero", *again)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ResetData[dataA](th) }); allocs != 0 {
+		t.Fatalf("ResetData on a recycled thread allocates %.1f objects", allocs)
+	}
+}
+
+func TestResetDataReplacesForeignType(t *testing.T) {
+	th := &sched.Thread{PolData: &dataB{z: 9}}
+	d := ResetData[dataA](th)
+	if d == nil || *d != (dataA{}) {
+		t.Fatal("ResetData on a foreign PolData must return a fresh zero *T")
+	}
+	if _, ok := th.PolData.(*dataA); !ok {
+		t.Fatalf("PolData is %T, want *dataA", th.PolData)
+	}
+	var nilA *dataA
+	th.PolData = nilA
+	if ResetData[dataA](th) == nil {
+		t.Fatal("ResetData returned nil for a typed-nil PolData")
+	}
+}

@@ -37,9 +37,9 @@ func (p *Policy) Name() string { return "skyloft-rr" }
 
 func (p *Policy) SchedInit(ncpu int) { p.rq = make([]policy.Deque, ncpu) }
 
-func (p *Policy) TaskInit(t *sched.Thread) { t.PolData = &taskData{} }
+func (p *Policy) TaskInit(t *sched.Thread) { policy.ResetData[taskData](t) }
 
-func (p *Policy) TaskTerminate(t *sched.Thread) { t.PolData = nil }
+func (p *Policy) TaskTerminate(t *sched.Thread) {}
 
 func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags core.EnqueueFlags) {
 	d := t.PolData.(*taskData)

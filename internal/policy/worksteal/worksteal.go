@@ -45,8 +45,8 @@ func (p *Policy) Name() string {
 
 func (p *Policy) SchedInit(ncpu int) { p.rq = make([]policy.Deque, ncpu) }
 
-func (p *Policy) TaskInit(t *sched.Thread)      { t.PolData = &taskData{} }
-func (p *Policy) TaskTerminate(t *sched.Thread) { t.PolData = nil }
+func (p *Policy) TaskInit(t *sched.Thread)      { policy.ResetData[taskData](t) }
+func (p *Policy) TaskTerminate(t *sched.Thread) {}
 
 func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags core.EnqueueFlags) {
 	d := t.PolData.(*taskData)

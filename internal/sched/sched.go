@@ -136,7 +136,9 @@ type Env interface {
 }
 
 // Requests exchanged between thread bodies and engines via proc.Ctx.Ask.
-// Engines must handle all of these.
+// Engines must handle all of these. A request travels as a pointer to a
+// slot the thread's Env owns (one per type), never as a value: boxing a
+// value into the Request interface would allocate on every Run or Sleep.
 type (
 	// RunReq asks for D nanoseconds of CPU. Response: nil when complete.
 	RunReq struct{ D simtime.Duration }

@@ -158,27 +158,58 @@ func TestUnlockNotOwnerPanics(t *testing.T) {
 	m.call(b, func() { mu.Unlock(m) })
 }
 
+// waitOn parks each thread on cv through the public API: lock mu, then
+// Wait (which releases mu and blocks in the mock).
+func waitOn(t *testing.T, m *mockEnv, cv *Cond, mu *Mutex, ths ...*Thread) {
+	t.Helper()
+	for _, th := range ths {
+		if !m.call(th, func() { mu.Lock(m); cv.Wait(m, mu) }) {
+			t.Fatalf("thread %d: Wait did not block", th.ID)
+		}
+	}
+}
+
 func TestCondSignalOrder(t *testing.T) {
 	m := newMockEnv()
 	var cv Cond
+	var mu Mutex
 	a, b := &Thread{ID: 1}, &Thread{ID: 2}
-	cv.waiters = []*Thread{a, b}
-	m.call(&Thread{ID: 3}, func() { cv.Signal(m) })
-	if len(m.ready) != 0 && len(cv.waiters) != 1 {
-		t.Fatal("Signal should wake exactly one waiter")
+	waitOn(t, m, &cv, &mu, a, b)
+	if cv.NWaiters() != 2 {
+		t.Fatalf("NWaiters = %d, want 2", cv.NWaiters())
 	}
-	if cv.NWaiters() != 1 || cv.waiters[0] != b {
+	m.call(&Thread{ID: 3}, func() { cv.Signal(m) })
+	if len(m.ready) != 1 || m.ready[0] != a || cv.NWaiters() != 1 {
+		t.Fatal("Signal should wake exactly the longest waiter")
+	}
+	m.call(&Thread{ID: 3}, func() { cv.Signal(m) })
+	if len(m.ready) != 2 || m.ready[1] != b || cv.NWaiters() != 0 {
 		t.Fatal("FIFO signal order broken")
+	}
+	// Signal with no waiters is a no-op.
+	m.call(&Thread{ID: 3}, func() { cv.Signal(m) })
+	if len(m.ready) != 2 {
+		t.Fatal("Signal on an empty Cond woke someone")
 	}
 }
 
 func TestCondBroadcast(t *testing.T) {
 	m := newMockEnv()
 	var cv Cond
-	cv.waiters = []*Thread{{ID: 1}, {ID: 2}, {ID: 3}}
+	var mu Mutex
+	ths := []*Thread{{ID: 1}, {ID: 2}, {ID: 3}}
+	waitOn(t, m, &cv, &mu, ths...)
 	m.call(&Thread{ID: 9}, func() { cv.Broadcast(m) })
 	if cv.NWaiters() != 0 {
 		t.Fatal("Broadcast left waiters")
+	}
+	if len(m.ready) != len(ths) {
+		t.Fatalf("Broadcast woke %d of %d", len(m.ready), len(ths))
+	}
+	for i, th := range ths {
+		if m.ready[i] != th {
+			t.Fatalf("Broadcast wake %d = thread %d, want %d", i, m.ready[i].ID, th.ID)
+		}
 	}
 }
 

@@ -9,11 +9,15 @@ package sched
 // No Go-level locking is needed: the simulation is single-threaded by
 // construction (strict coroutine handoff), so these are pure data
 // structures; Block/Wake ordering supplies the synchronisation semantics.
+// Waiter lists and queued items live in fifo.Ring buffers, so a primitive
+// in steady use allocates nothing and keeps no popped thread reachable.
+
+import "skyloft/internal/fifo"
 
 // Mutex is a queueing mutual-exclusion lock.
 type Mutex struct {
 	owner   *Thread
-	waiters []*Thread
+	waiters fifo.Ring[*Thread]
 }
 
 // Lock acquires m, blocking the calling thread while another holds it.
@@ -29,7 +33,7 @@ func (m *Mutex) Lock(e Env) {
 	if m.owner == self {
 		panic("sched: recursive Mutex.Lock")
 	}
-	m.waiters = append(m.waiters, self)
+	m.waiters.PushBack(self)
 	for m.owner != self {
 		e.Block()
 	}
@@ -43,12 +47,11 @@ func (m *Mutex) Unlock(e Env) {
 	if c := e.OpCost(OpMutex); c > 0 {
 		e.Run(c)
 	}
-	if len(m.waiters) == 0 {
+	next, ok := m.waiters.PopFront()
+	if !ok {
 		m.owner = nil
 		return
 	}
-	next := m.waiters[0]
-	m.waiters = m.waiters[1:]
 	m.owner = next
 	e.Wake(next)
 }
@@ -70,7 +73,7 @@ func (m *Mutex) Locked() bool { return m.owner != nil }
 
 // Cond is a condition variable used with a Mutex.
 type Cond struct {
-	waiters []*Thread
+	waiters fifo.Ring[*Thread]
 }
 
 // Wait atomically releases mu and parks the caller until Signal/Broadcast,
@@ -80,7 +83,7 @@ func (c *Cond) Wait(e Env, mu *Mutex) {
 		e.Run(cost)
 	}
 	self := e.Self()
-	c.waiters = append(c.waiters, self)
+	c.waiters.PushBack(self)
 	mu.Unlock(e)
 	e.Block()
 	mu.Lock(e)
@@ -91,27 +94,26 @@ func (c *Cond) Signal(e Env) {
 	if cost := e.OpCost(OpCondvar); cost > 0 {
 		e.Run(cost)
 	}
-	if len(c.waiters) == 0 {
-		return
+	if t, ok := c.waiters.PopFront(); ok {
+		e.Wake(t)
 	}
-	t := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	e.Wake(t)
 }
 
-// Broadcast wakes all waiters.
+// Broadcast wakes all threads waiting when it is called. A Wake may
+// suspend the caller; threads that start waiting meanwhile stay queued for
+// the next Signal or Broadcast.
 func (c *Cond) Broadcast(e Env) {
 	if cost := e.OpCost(OpCondvar); cost > 0 {
 		e.Run(cost)
 	}
-	for _, t := range c.waiters {
+	for n := c.waiters.Len(); n > 0; n-- {
+		t, _ := c.waiters.PopFront()
 		e.Wake(t)
 	}
-	c.waiters = nil
 }
 
 // NWaiters reports how many threads are parked on c.
-func (c *Cond) NWaiters() int { return len(c.waiters) }
+func (c *Cond) NWaiters() int { return c.waiters.Len() }
 
 // WaitGroup counts outstanding work, like sync.WaitGroup.
 type WaitGroup struct {
@@ -147,29 +149,20 @@ func (w *WaitGroup) Wait(e Env) {
 // Queue is an unbounded FIFO of opaque items with blocking Pop — the shared
 // ring abstraction used by the network stack and dispatcher mailboxes.
 type Queue struct {
-	items   []any
-	waiters []*Thread
+	items   fifo.Ring[any]
+	waiters fifo.Ring[*Thread]
 }
 
 // Push appends an item and wakes one blocked consumer.
 func (q *Queue) Push(e Env, v any) {
-	q.items = append(q.items, v)
-	if len(q.waiters) > 0 {
-		t := q.waiters[0]
-		q.waiters = q.waiters[1:]
+	q.items.PushBack(v)
+	if t, ok := q.waiters.PopFront(); ok {
 		e.Wake(t)
 	}
 }
 
 // TryPop removes the head item without blocking.
-func (q *Queue) TryPop() (any, bool) {
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
-}
+func (q *Queue) TryPop() (any, bool) { return q.items.PopFront() }
 
 // Pop removes the head item, blocking while the queue is empty.
 func (q *Queue) Pop(e Env) any {
@@ -177,10 +170,10 @@ func (q *Queue) Pop(e Env) any {
 		if v, ok := q.TryPop(); ok {
 			return v
 		}
-		q.waiters = append(q.waiters, e.Self())
+		q.waiters.PushBack(e.Self())
 		e.Block()
 	}
 }
 
 // Len reports the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return q.items.Len() }
