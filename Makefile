@@ -21,11 +21,9 @@ build:
 # Determinism + ownership lint: cmd/simlint statically enforces the
 # reproducibility invariants (no wall clock, no global rand, no unordered
 # map iteration, no bare goroutines or multi-case selects, no raw
-# nanosecond literals — DESIGN.md §9) and the sharded engine's ownership
-# contract (lane-owned state confined to lane context, observer packages
-# attach-only, merge/dispatch-phase functions unreachable from lane
-# callbacks — DESIGN.md §14). Also fails on files gofmt would rewrite, so
-# the tree stays formatted.
+# nanosecond literals — DESIGN.md §9) and observer purity (observer
+# packages attach-only, never mutating owned sim state — DESIGN.md §14).
+# Also fails on files gofmt would rewrite, so the tree stays formatted.
 .PHONY: lint
 lint:
 	$(GO) run ./cmd/simlint ./internal/... ./cmd/...
@@ -48,14 +46,6 @@ test:
 .PHONY: race
 race:
 	$(GO) test -race ./...
-
-# Fast race loop for the sharded event core: the packages whose tests spawn
-# real goroutines (engine lane workers, the parallel sweep runner). `make
-# check` runs the full-tree `race` target, which subsumes this; race-core
-# exists for quick iteration on internal/simtime and internal/bench.
-.PHONY: race-core
-race-core:
-	$(GO) test -race ./internal/simtime/... ./internal/bench/...
 
 # A handful of iterations only — this is a smoke test that the benchmarks
 # still compile and run, not a measurement; the LSM pair's -benchmem line
@@ -96,9 +86,9 @@ trace-smoke:
 	echo "trace-smoke OK"
 
 # Live-telemetry smoke (DESIGN.md §12): stream a short run's snapshots over
-# NDJSON at shard counts 0 and 4 and require the printed stream hash to be
-# identical (the published stream is simulation state, not host topology);
-# render the stream once through cmd/skyloft-top; then run the flight probe
+# NDJSON twice and require the printed stream hash to be identical (the
+# published stream is a pure function of the seed); render the stream once
+# through cmd/skyloft-top; then run the flight probe
 # on the straggler-core fault plan and validate the recorder's post-mortem
 # bundle — the trace slice passes cmd/tracecheck with fault instants, the
 # metrics snapshot passes cmd/metricscheck, and the manifest names the live
@@ -106,14 +96,14 @@ trace-smoke:
 .PHONY: live-smoke
 live-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
-	$(GO) run ./cmd/skyloft-trace -dur 2ms -n 0 -shards 0 \
-		-live-out $$tmp/serial.ndjson > $$tmp/serial.txt && \
-	$(GO) run ./cmd/skyloft-trace -dur 2ms -n 0 -shards 4 \
-		-live-out $$tmp/sharded.ndjson > $$tmp/sharded.txt && \
-	grep -o 'stream [0-9a-f]*' $$tmp/serial.txt > $$tmp/h-serial && \
-	grep -o 'stream [0-9a-f]*' $$tmp/sharded.txt > $$tmp/h-sharded && \
-	test -s $$tmp/h-serial && cmp $$tmp/h-serial $$tmp/h-sharded && \
-	$(GO) run ./cmd/skyloft-top -in $$tmp/serial.ndjson -once \
+	$(GO) run ./cmd/skyloft-trace -dur 2ms -n 0 \
+		-live-out $$tmp/first.ndjson > $$tmp/first.txt && \
+	$(GO) run ./cmd/skyloft-trace -dur 2ms -n 0 \
+		-live-out $$tmp/replay.ndjson > $$tmp/replay.txt && \
+	grep -o 'stream [0-9a-f]*' $$tmp/first.txt > $$tmp/h-first && \
+	grep -o 'stream [0-9a-f]*' $$tmp/replay.txt > $$tmp/h-replay && \
+	test -s $$tmp/h-first && cmp $$tmp/h-first $$tmp/h-replay && \
+	$(GO) run ./cmd/skyloft-top -in $$tmp/first.ndjson -once \
 		| grep -q 'window #' && \
 	$(GO) run ./cmd/skyloft-bench -chaos straggler-core -seed 1 \
 		-flight-dir $$tmp/flight > $$tmp/flight.txt && \
@@ -161,12 +151,10 @@ bench-gate:
 	$(GO) run ./cmd/benchdiff BENCH_skyloft.json $$tmp/candidate.json
 
 # Chaos gate (DESIGN.md §10): run every fault-plan preset twice plus a clean
-# twin — deterministic replay, zero invariant violations, hardening
-# demonstrably engaged, bounded p99.9 degradation — then validate the
-# exported Perfetto trace carries fault instants on the CPU tracks. The gate
-# also replays every plan on a 2-shard event core (DESIGN.md §11) and fails
-# unless the trace hash, event total, and dispatched count are bit-identical
-# to the serial run with zero invariant violations.
+# twin — deterministic replay (trace hash, event total and dispatched count
+# bit-identical), zero invariant violations, hardening demonstrably
+# engaged, bounded p99.9 degradation — then validate the exported Perfetto
+# trace carries fault instants on the CPU tracks.
 .PHONY: chaos
 chaos:
 	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
@@ -175,9 +163,10 @@ chaos:
 	echo "chaos OK"
 
 # Oversubscription survival gate (DESIGN.md §15): run both lease presets
-# through replay + shard twins {0, 2, 4} — zero cross-app invariant
-# violations, forced revocation demonstrably engaged under the borrower
-# stall, measured reclaim p99 inside the protocol's bound — then run the
+# twice — bit-identical replay (trace hash, event total and dispatched
+# count), zero cross-app invariant violations, forced revocation
+# demonstrably engaged under the borrower stall, measured reclaim p99
+# inside the protocol's bound — then run the
 # examples/multiapp smoke, which exits non-zero unless the injected
 # borrower stall actually forced at least one revocation.
 .PHONY: oversub

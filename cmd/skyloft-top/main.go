@@ -1,8 +1,7 @@
 // Command skyloft-top is the terminal dashboard for the live telemetry bus:
 // a curses-free, ANSI-escape view of the simulated machine while it runs —
 // per-window throughput and wakeup percentiles, per-app latency, per-core
-// occupancy bars, the sharded engine's lane profile, and any live pathology
-// findings.
+// occupancy bars, and any live pathology findings.
 //
 // It consumes either surface the bus exports:
 //
@@ -203,23 +202,6 @@ func render(s *live.Snapshot) string {
 		for _, c := range s.Occupancy {
 			fmt.Fprintf(&b, "  cpu%-3d %s %5.1f%% busy (kernel %.1f%%)\n",
 				c.CPU, bar(c.Busy(), 20), 100*c.Busy(), 100*c.Kernel)
-		}
-		b.WriteByte('\n')
-	}
-
-	if e := s.Engine; e != nil {
-		fmt.Fprintf(&b, "engine: %d shards   %d barriers   %.1f events/window   cross %d  near %d\n",
-			e.Shards, e.Barriers, e.WindowOccupancy, e.CrossPosts, e.NearPosts)
-		var max uint64 = 1
-		for _, l := range e.Lanes {
-			if l.Dispatched > max {
-				max = l.Dispatched
-			}
-		}
-		for _, l := range e.Lanes {
-			fmt.Fprintf(&b, "  lane%-2d %s %9d ev   backlog %d (hw %d)   migrated %d\n",
-				l.Lane, bar(float64(l.Dispatched)/float64(max), 20),
-				l.Dispatched, l.Backlog, l.BacklogHW, l.Migrated)
 		}
 		b.WriteByte('\n')
 	}

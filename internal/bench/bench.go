@@ -7,8 +7,6 @@
 package bench
 
 import (
-	"sync/atomic"
-
 	"skyloft/internal/hw"
 	"skyloft/internal/loadgen"
 	"skyloft/internal/simtime"
@@ -30,32 +28,9 @@ const (
 	SkyloftTimerHz = 100_000
 )
 
-// shards is the event-core shard count applied to every machine the
-// harness builds: 0 (the default) keeps the serial clock, n >= 1 selects
-// the sharded engine. An atomic for the same reason sweepWorkers is one —
-// parallel Sweep trials read it while the main goroutine may set it.
-var shards atomic.Int32
-
-// SetShards selects the event core for subsequently built machines
-// (0 = serial clock, n >= 1 = sharded engine with n lanes). Dispatch order
-// is identical either way, so every harness result is shard-invariant;
-// cmd flags wire -shards here.
-func SetShards(n int) {
-	if n < 0 {
-		n = 0
-	}
-	shards.Store(int32(n))
-}
-
-// Shards reports the configured shard count (0 = serial clock).
-func Shards() int { return int(shards.Load()) }
-
-// newMachine builds the standard evaluation server on the configured
-// event core.
+// newMachine builds the standard evaluation server.
 func newMachine() *hw.Machine {
-	cfg := hw.DefaultConfig()
-	cfg.Shards = Shards()
-	return hw.NewMachine(cfg)
+	return hw.NewMachine(hw.DefaultConfig())
 }
 
 func cpuList(n int) []int {

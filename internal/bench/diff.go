@@ -48,11 +48,10 @@ func DefaultDiffConfig() DiffConfig {
 			// inside the bound) are enforced exactly by BuildReport's panics
 			// and `make oversub`, not by this drift band.
 			"lease.": {Rel: 0.6, Abs: 5},
-			// engine.* metrics come from the deterministic op-count cost
-			// model, so they only move when event-core code changes; a
-			// tighter band catches dispatch-path regressions (an extra scan
-			// or compare per event shifts events_per_sec well past 10%)
-			// while letting workload-driven event-count drift land.
+			// engine.dispatched is the event-core probe's base event count,
+			// the denominator of live.overhead_pct and causal.overhead_pct;
+			// a tighter band catches a change that schedules extra events
+			// per dispatch while letting workload-driven drift land.
 			"engine.": {Rel: 0.10, Abs: 0.5},
 			// live.* gauges the telemetry bus's own footprint. The hard
 			// ceiling (overhead_pct <= 5) is enforced in BuildReport; the

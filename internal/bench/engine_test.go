@@ -12,23 +12,9 @@ import (
 	"skyloft/internal/trace"
 )
 
-// Differential harness for the sharded event core (the tentpole's
-// determinism contract): serial Clock vs Engine{1,2,4,8} on the Fig. 5 and
-// Fig. 7 quick configs across eight seeds — golden trace hashes, span
-// determinism hashes, and dispatched-event counts must be identical at
-// every shard count.
-
-// engineShardCounts are the differential grid: -1 selects the serial
-// clock (hw.Config.Shards = 0), the rest are engine lane counts.
-var engineShardCounts = []int{-1, 1, 2, 4, 8}
-
-func shardedMachine(shards int) *hw.Machine {
-	cfg := hw.DefaultConfig()
-	if shards > 0 {
-		cfg.Shards = shards
-	}
-	return hw.NewMachine(cfg)
-}
+// Attach-only witnesses for the observers: a run with the causal tracer or
+// the live bus attached must schedule exactly what the bare run schedules
+// (the bus adds only its own window-boundary ticks).
 
 // runSignature is one run's behavioural fingerprint.
 type runSignature struct {
@@ -43,10 +29,7 @@ func (s runSignature) String() string {
 		s.traceHash, s.traceTotal, s.spanHash, s.dispatched)
 }
 
-func fig5Signature(shards int, seed uint64) runSignature {
-	m := shardedMachine(shards)
-	tr := trace.New(1 << 16)
-	schbenchSkyloft(SkyloftRR, 0, 16, 5, seed, m, tr)
+func signatureOf(m *hw.Machine, tr *trace.Ring) runSignature {
 	return runSignature{
 		traceHash:  tr.Hash(),
 		traceTotal: tr.Total(),
@@ -55,81 +38,39 @@ func fig5Signature(shards int, seed uint64) runSignature {
 	}
 }
 
-func fig7Signature(shards int, seed uint64) runSignature {
-	m := shardedMachine(shards)
+// fig7Signature runs the Fig. 7 quick config, optionally with the causal
+// request tracer attached.
+func fig7Signature(seed uint64, ctr *causal.Tracer) runSignature {
+	m := hw.NewMachine(hw.DefaultConfig())
 	tr := trace.New(1 << 16)
 	RunSynthetic(SynthConfig{
 		System: SynthSkyloft, Rate: 0.5 * Capacity(Fig7Workers, server.DispersiveClasses()),
 		Duration: 5 * simtime.Millisecond, Warmup: simtime.Millisecond,
-		Seed: seed, machine: m, tr: tr,
+		Seed: seed, machine: m, tr: tr, ct: ctr,
 	})
-	return runSignature{
-		traceHash:  tr.Hash(),
-		traceTotal: tr.Total(),
-		spanHash:   obs.BuildSpans(tr.Events()).Hash(),
-		dispatched: m.Clock.Dispatched(),
-	}
+	return signatureOf(m, tr)
 }
 
-func runDifferential(t *testing.T, name string, sig func(shards int, seed uint64) runSignature) {
-	t.Helper()
-	seeds := []uint64{1, 2, 3, 5, 8, 13, 21, 42}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
-	for _, seed := range seeds {
-		want := sig(engineShardCounts[0], seed)
-		if want.traceTotal == 0 {
-			t.Fatalf("%s seed %d: serial run recorded no trace events", name, seed)
-		}
-		for _, shards := range engineShardCounts[1:] {
-			got := sig(shards, seed)
-			if got != want {
-				t.Errorf("%s seed %d shards %d diverged:\n  serial: %v\n  engine: %v",
-					name, seed, shards, want, got)
-			}
-		}
-	}
-}
-
-func TestEngineDifferentialFig5(t *testing.T) {
-	runDifferential(t, "fig5", fig5Signature)
-}
-
-func TestEngineDifferentialFig7(t *testing.T) {
-	runDifferential(t, "fig7", fig7Signature)
-}
-
-// The report's engine probe feeds the regression gate: the sharded engine
-// must dispatch the same events as the serial clock and beat it on modeled
-// events/sec for the 48-core Fig. 7 run. The live-bus twin must cost no
-// more than the 5% overhead ceiling and publish a full window sequence;
-// the causal twin must cost exactly nothing (the tracer schedules no
-// events) and complete nearly every journey.
-func TestEngineProbeBeatsSerial(t *testing.T) {
-	serial, sharded, live, causalRun := engineProbe(1)
-	if serial.dispatched != sharded.dispatched {
-		t.Fatalf("probe dispatch counts differ: serial %d, sharded %d",
-			serial.dispatched, sharded.dispatched)
-	}
-	if sharded.eventsPerSec <= serial.eventsPerSec {
-		t.Fatalf("sharded engine %f events/s does not beat serial %f",
-			sharded.eventsPerSec, serial.eventsPerSec)
-	}
-	if live.dispatched < sharded.dispatched {
+// The report's engine probe feeds the regression gate: the live-bus run
+// must cost no more than the 5% overhead ceiling and publish a full window
+// sequence; the causal run must cost exactly nothing (the tracer schedules
+// no events) and complete nearly every journey.
+func TestEngineProbeObserverOverhead(t *testing.T) {
+	base, live, causalRun := engineProbe(1)
+	if live.dispatched < base.dispatched {
 		t.Fatalf("bus-attached run dispatched fewer events (%d) than bare (%d)",
-			live.dispatched, sharded.dispatched)
+			live.dispatched, base.dispatched)
 	}
-	extra := float64(live.dispatched-sharded.dispatched) / float64(sharded.dispatched)
+	extra := float64(live.dispatched-base.dispatched) / float64(base.dispatched)
 	if extra > 0.05 {
 		t.Fatalf("live bus overhead %.2f%% exceeds the 5%% ceiling", 100*extra)
 	}
 	if live.liveWindows == 0 {
 		t.Fatal("bus-attached probe published no windows")
 	}
-	if causalRun.dispatched != sharded.dispatched {
+	if causalRun.dispatched != base.dispatched {
 		t.Fatalf("causal-attached run dispatched %d events, bare %d — the tracer must schedule nothing",
-			causalRun.dispatched, sharded.dispatched)
+			causalRun.dispatched, base.dispatched)
 	}
 	if causalRun.causalCoverage < 0.9 {
 		t.Fatalf("causal probe coverage %.3f, want >= 0.9", causalRun.causalCoverage)
@@ -143,8 +84,8 @@ func TestEngineProbeBeatsSerial(t *testing.T) {
 // path: packet sequence numbers assigned at netsim arrival, RSS steering,
 // ingress rings, thread-per-request service) — optionally with the causal
 // request tracer attached over the NIC observer and server callbacks.
-func netSignature(shards int, seed uint64, ctr *causal.Tracer) runSignature {
-	m := shardedMachine(shards)
+func netSignature(seed uint64, ctr *causal.Tracer) runSignature {
+	m := hw.NewMachine(hw.DefaultConfig())
 	tr := trace.New(1 << 16)
 	RunNetApp(NetConfig{
 		System: NetSkyloft, App: "memcached", Workers: Fig8aWorkers,
@@ -152,37 +93,29 @@ func netSignature(shards int, seed uint64, ctr *causal.Tracer) runSignature {
 		Duration: 5 * simtime.Millisecond, Warmup: simtime.Millisecond,
 		Seed: seed, machine: m, tr: tr, ct: ctr,
 	})
-	return runSignature{
-		traceHash:  tr.Hash(),
-		traceTotal: tr.Total(),
-		spanHash:   obs.BuildSpans(tr.Events()).Hash(),
-		dispatched: m.Clock.Dispatched(),
-	}
+	return signatureOf(m, tr)
 }
 
 // TestCausalDifferentialFig8 is the NIC-path twin of the Fig. 7 causal
 // differential: request IDs are born at netsim packet arrival and the
 // journey crosses RSS steering, the ingress ring, and the serving thread.
-// Attaching the tracer must leave the schedule untouched, every retained
-// exemplar must carry its RSS ring and a non-empty hop chain, and the
-// tracer state must be bit-identical across the serial clock and
-// Engine{1,2,4,8}.
+// Attaching the tracer must leave the schedule untouched, and every
+// retained exemplar must carry its RSS ring and a non-empty hop chain.
 func TestCausalDifferentialFig8(t *testing.T) {
 	for _, seed := range []uint64{1, 5, 13, 21} {
-		bare := netSignature(engineShardCounts[0], seed, nil)
-		serialTracer := causal.New(causal.Config{})
-		wantSig := netSignature(engineShardCounts[0], seed, serialTracer)
-		if wantSig != bare {
+		bare := netSignature(seed, nil)
+		tracer := causal.New(causal.Config{})
+		if traced := netSignature(seed, tracer); traced != bare {
 			t.Fatalf("seed %d: causal tracer perturbed the NIC run:\n  bare:   %v\n  traced: %v",
-				seed, bare, wantSig)
+				seed, bare, traced)
 		}
-		if serialTracer.Completed() == 0 {
+		if tracer.Completed() == 0 {
 			t.Fatalf("seed %d: tracer completed no request journeys", seed)
 		}
-		if cov := serialTracer.Coverage(); cov < 0.9 {
+		if cov := tracer.Coverage(); cov < 0.9 {
 			t.Fatalf("seed %d: request coverage %.3f, want >= 0.9", seed, cov)
 		}
-		for _, ex := range serialTracer.Exemplars() {
+		for _, ex := range tracer.Exemplars() {
 			if ex.Kind != "request" {
 				t.Fatalf("seed %d: NIC exemplar kind %q, want request", seed, ex.Kind)
 			}
@@ -193,80 +126,29 @@ func TestCausalDifferentialFig8(t *testing.T) {
 				t.Fatalf("seed %d: request %d has no dispatch hops", seed, ex.ID)
 			}
 		}
-		wantHash := serialTracer.Hash()
-		for _, shards := range engineShardCounts[1:] {
-			tracer := causal.New(causal.Config{})
-			gotSig := netSignature(shards, seed, tracer)
-			if gotSig != wantSig {
-				t.Errorf("seed %d shards %d: traced NIC schedule diverged:\n  serial: %v\n  engine: %v",
-					seed, shards, wantSig, gotSig)
-			}
-			if got := tracer.Hash(); got != wantHash {
-				t.Errorf("seed %d shards %d: causal state diverged: serial %016x, engine %016x",
-					seed, shards, wantHash, got)
-			}
-		}
 	}
 }
 
-// causalSignature runs the Fig. 7 quick config with the causal request
-// tracer attached: the schedule fingerprint (which must equal the untraced
-// run's — the tracer is attach-only) plus the tracer's own state hash
-// (which must be identical at every shard count — exemplar selection and
-// critical-path attribution are part of the determinism contract).
-func causalSignature(shards int, seed uint64) (runSignature, *causal.Tracer) {
-	m := shardedMachine(shards)
-	tr := trace.New(1 << 16)
-	ctr := causal.New(causal.Config{})
-	RunSynthetic(SynthConfig{
-		System: SynthSkyloft, Rate: 0.5 * Capacity(Fig7Workers, server.DispersiveClasses()),
-		Duration: 5 * simtime.Millisecond, Warmup: simtime.Millisecond,
-		Seed: seed, machine: m, tr: tr, ct: ctr,
-	})
-	sig := runSignature{
-		traceHash:  tr.Hash(),
-		traceTotal: tr.Total(),
-		spanHash:   obs.BuildSpans(tr.Events()).Hash(),
-		dispatched: m.Clock.Dispatched(),
-	}
-	return sig, ctr
-}
-
-// TestCausalDifferentialFig7 pins the causal tracer's two contracts on the
-// Fig. 7 quick config across four seeds: attaching the tracer leaves the
-// schedule untouched (trace/span/dispatch fingerprints equal the untraced
-// serial run's), and the tracer's full state — journey counts, top-K
-// exemplar selection, per-hop critical-path attribution — is bit-identical
-// on the serial clock and Engine{1,2,4,8}. The edges-sum-to-sojourn
-// invariant is enforced by a panic inside the tracer on every completed
-// journey, so this test also exercises it thousands of times.
+// TestCausalDifferentialFig7 pins the causal tracer's attach-only contract
+// on the Fig. 7 quick config across four seeds: attaching the tracer leaves
+// the schedule untouched (trace/span/dispatch fingerprints equal the
+// untraced run's), and the tracer completes journeys and retains
+// exemplars. The edges-sum-to-sojourn invariant is enforced by a panic
+// inside the tracer on every completed journey, so this test also
+// exercises it thousands of times.
 func TestCausalDifferentialFig7(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 5, 13} {
-		bare := fig7Signature(engineShardCounts[0], seed)
-		wantSig, serialTracer := causalSignature(engineShardCounts[0], seed)
-		if wantSig != bare {
-			t.Fatalf("seed %d: causal tracer perturbed the serial run:\n  bare:   %v\n  traced: %v",
-				seed, bare, wantSig)
+		bare := fig7Signature(seed, nil)
+		tracer := causal.New(causal.Config{})
+		if traced := fig7Signature(seed, tracer); traced != bare {
+			t.Fatalf("seed %d: causal tracer perturbed the run:\n  bare:   %v\n  traced: %v",
+				seed, bare, traced)
 		}
-		if serialTracer.Completed() == 0 {
+		if tracer.Completed() == 0 {
 			t.Fatalf("seed %d: tracer completed no journeys", seed)
 		}
-		if len(serialTracer.Exemplars()) == 0 {
+		if len(tracer.Exemplars()) == 0 {
 			t.Fatalf("seed %d: tracer retained no exemplars", seed)
-		}
-		wantHash := serialTracer.Hash()
-		for _, shards := range engineShardCounts[1:] {
-			gotSig, tracer := causalSignature(shards, seed)
-			if gotSig != wantSig {
-				t.Errorf("seed %d shards %d: traced schedule diverged:\n  serial: %v\n  engine: %v",
-					seed, shards, wantSig, gotSig)
-			}
-			if got := tracer.Hash(); got != wantHash {
-				t.Errorf("seed %d shards %d: causal state diverged: serial %016x, engine %016x (started %d/%d completed %d/%d)",
-					seed, shards, wantHash, got,
-					serialTracer.Started(), tracer.Started(),
-					serialTracer.Completed(), tracer.Completed())
-			}
 		}
 	}
 }

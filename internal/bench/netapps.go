@@ -44,10 +44,9 @@ type NetConfig struct {
 	Warmup   simtime.Duration
 	Seed     uint64
 
-	// machine overrides the standard machine (the engine differential
-	// harness shards it).
+	// machine overrides the standard machine (tests read its clock).
 	machine *hw.Machine
-	// tr, when set, records the run's schedule for cross-shard comparison.
+	// tr, when set, records the run's schedule for comparison across runs.
 	tr *trace.Ring
 	// ct, when set, traces every request's journey end to end over the NIC
 	// path (requires tr): the request ID is the packet sequence number

@@ -19,8 +19,7 @@ import (
 // Oversubscription survival (DESIGN.md §15): two preset scenarios drive the
 // core lending/reclaim lease protocol under an antagonist fault plan that
 // attacks the cooperative reclaim path, and the gate proves the robustness
-// claims — replay is bit-identical across event-core shard counts, the
-// cross-app invariants hold throughout, forced revocation demonstrably
+// claims — replay is bit-identical, the cross-app invariants hold throughout, forced revocation demonstrably
 // engaged (the faults really suppressed cooperation), and the measured
 // reclaim p99 stays inside the protocol's configured bound.
 
@@ -33,7 +32,6 @@ const OversubDuration = 4 * simtime.Millisecond
 type OversubResult struct {
 	Preset string `json:"preset"`
 	Seed   uint64 `json:"seed"`
-	Shards int    `json:"shards"` // event-core shards (0 = serial clock)
 
 	TraceHash  uint64 `json:"trace_hash"`
 	Events     uint64 `json:"events"`
@@ -212,7 +210,7 @@ func oversubAntagonist(plan *faults.Plan, seed uint64, dur simtime.Duration) (*O
 	e.Run(simtime.Time(dur))
 
 	res := &OversubResult{
-		Preset: plan.Name, Seed: seed, Shards: Shards(),
+		Preset: plan.Name, Seed: seed,
 		TraceHash: tr.Hash(), Events: tr.Total(), Dispatched: m.Clock.Dispatched(),
 		Injected: in.Counters(),
 		Checks:   checker.Checks(), Violations: checker.Count(),
@@ -235,7 +233,7 @@ var (
 )
 
 // oversubBroker owns the cross-runtime lease state machine for preset 2:
-// it polls both runtimes' pressure from the dispatcher lane, lends idle
+// it polls both runtimes' pressure on a fixed interval, lends idle
 // engine workers to the ksched tenant (LendWorker + Online), and reclaims
 // them through the manager's grace-deadline escalation — a droppable vacate
 // IPI cooperatively, ForceOffline when the borrower never hears it.
@@ -266,10 +264,6 @@ func (b *oversubBroker) idxOfKidx(kidx int) int {
 	return oversubLentIdx[0] + kidx - len(oversubHomeHW)
 }
 
-// Lane pins the manager's deadline/escalation events to the lent core's
-// event lane (lease.Client).
-func (b *oversubBroker) Lane(core int) int { return b.m.Cores[b.hwOf(core)].Lane() }
-
 // ReclaimNotify delivers one cooperative vacate request as a plain kernel
 // IPI — the droppable substrate; the manager owns every retry (lease.Client).
 func (b *oversubBroker) ReclaimNotify(core, attempt int) {
@@ -286,7 +280,7 @@ func (b *oversubBroker) ForceEvict(core int) {
 		if b.k.ForceOffline(kidx) {
 			return
 		}
-		b.m.Clock.AfterOn(b.Lane(core), brokerEvictRetry, try)
+		b.m.Clock.After(brokerEvictRetry, try)
 	}
 	try()
 }
@@ -322,7 +316,7 @@ func (b *oversubBroker) step() {
 			}
 			// The borrower joins the scheduling set once the kernel-thread
 			// switch has been charged to the core.
-			b.m.Clock.AfterOn(b.Lane(i), d, func() { b.k.Online(kidx) })
+			b.m.Clock.After(d, func() { b.k.Online(kidx) })
 			return
 		}
 		return
@@ -337,17 +331,14 @@ func (b *oversubBroker) step() {
 	}
 }
 
-// start arms the self-rearming policy loop on the dispatcher's lane.
-//
-//simlint:phase init
+// start arms the self-rearming policy loop.
 func (b *oversubBroker) start() {
-	lane := b.m.Cores[0].Lane()
 	var poll func()
 	poll = func() {
 		b.step()
-		b.m.Clock.AfterOn(lane, brokerPollInterval, poll)
+		b.m.Clock.After(brokerPollInterval, poll)
 	}
-	b.m.Clock.AfterOn(lane, brokerPollInterval, poll)
+	b.m.Clock.After(brokerPollInterval, poll)
 }
 
 // oversubMultiRuntime is preset 2: two runtimes — the Skyloft engine and a
@@ -358,8 +349,6 @@ func (b *oversubBroker) start() {
 // checker (thread IDs collide across runtimes, and cross-runtime idleness
 // is not a work-conservation violation); the ksched checker's budget covers
 // its tick-granular (HZ=1000) recovery of dropped kick IPIs.
-//
-//simlint:phase init
 func oversubMultiRuntime(plan *faults.Plan, seed uint64, dur simtime.Duration) (*OversubResult, error) {
 	m := newMachine()
 	tr := trace.New(1 << 16)
@@ -438,7 +427,7 @@ func oversubMultiRuntime(plan *faults.Plan, seed uint64, dur simtime.Duration) (
 	e.Run(simtime.Time(dur))
 
 	res := &OversubResult{
-		Preset: plan.Name, Seed: seed, Shards: Shards(),
+		Preset: plan.Name, Seed: seed,
 		TraceHash: tr.Hash(), Events: tr.Total(), Dispatched: m.Clock.Dispatched(),
 		Injected:    in.Counters(),
 		Checks:      engChecker.Checks() + kChecker.Checks(),
@@ -453,15 +442,9 @@ func oversubMultiRuntime(plan *faults.Plan, seed uint64, dur simtime.Duration) (
 	return res, nil
 }
 
-// oversubShardTwins are the event-core shard counts every preset must
-// replay bit-identically at (the acceptance criterion): the serial clock
-// and the 2- and 4-lane sharded engines.
-var oversubShardTwins = []int{0, 2, 4}
-
-// OversubGate runs each named preset (nil = all) and collects failures:
-// non-deterministic replay at the base shard count, divergence across the
-// {0, 2, 4} shard twins, any invariant violation on any run, a plan that
-// never injected, a run where forced revocation never engaged (the faults
+// OversubGate runs each named preset (nil = all) twice and collects
+// failures: non-deterministic replay (trace hash, event total or dispatched
+// count differ), any invariant violation, a plan that never injected, a run where forced revocation never engaged (the faults
 // did not actually break cooperation), or a reclaim p99 past the protocol's
 // bound. An empty failure list is a green gate.
 func OversubGate(seed uint64, dur simtime.Duration, names []string) ([]*OversubResult, []string) {
@@ -472,16 +455,6 @@ func OversubGate(seed uint64, dur simtime.Duration, names []string) ([]*OversubR
 	var failures []string
 	fail := func(format string, args ...any) {
 		failures = append(failures, fmt.Sprintf(format, args...))
-	}
-	checkViolations := func(label string, r *OversubResult) {
-		if r.Violations == 0 {
-			return
-		}
-		msg := fmt.Sprintf("%s: %d invariant violations", label, r.Violations)
-		if len(r.ViolationMsgs) > 0 {
-			msg += ": " + r.ViolationMsgs[0]
-		}
-		failures = append(failures, msg)
 	}
 	for _, name := range names {
 		r1, err := RunOversub(name, seed, dur)
@@ -495,11 +468,18 @@ func OversubGate(seed uint64, dur simtime.Duration, names []string) ([]*OversubR
 			continue
 		}
 		results = append(results, r1)
-		if r1.TraceHash != r2.TraceHash || r1.Events != r2.Events {
-			fail("%s: replay diverged: %016x/%d events vs %016x/%d",
-				name, r1.TraceHash, r1.Events, r2.TraceHash, r2.Events)
+		if r1.TraceHash != r2.TraceHash || r1.Events != r2.Events || r1.Dispatched != r2.Dispatched {
+			fail("%s: replay diverged: %016x/%d events/%d dispatched vs %016x/%d/%d",
+				name, r1.TraceHash, r1.Events, r1.Dispatched,
+				r2.TraceHash, r2.Events, r2.Dispatched)
 		}
-		checkViolations(name, r1)
+		if r1.Violations > 0 {
+			msg := fmt.Sprintf("%s: %d invariant violations", name, r1.Violations)
+			if len(r1.ViolationMsgs) > 0 {
+				msg += ": " + r1.ViolationMsgs[0]
+			}
+			failures = append(failures, msg)
+		}
 		if r1.Injected.Total() == 0 {
 			fail("%s: plan injected nothing", name)
 		}
@@ -512,28 +492,6 @@ func OversubGate(seed uint64, dur simtime.Duration, names []string) ([]*OversubR
 		if r1.ReclaimP99Us > r1.ReclaimBoundUs {
 			fail("%s: reclaim p99 %.1fµs past the %.1fµs bound (max %.1fµs)",
 				name, r1.ReclaimP99Us, r1.ReclaimBoundUs, r1.ReclaimMaxUs)
-		}
-		// Shard twins: the same preset on every event core must be the same
-		// simulation — bit-identical trace hash, event total and dispatch
-		// count — and must hold the invariants too.
-		prev := Shards()
-		for _, twin := range oversubShardTwins {
-			if twin == prev {
-				continue
-			}
-			SetShards(twin)
-			r3, err := RunOversub(name, seed, dur)
-			SetShards(prev)
-			if err != nil {
-				fail("%s: %d-shard twin: %v", name, twin, err)
-				continue
-			}
-			if r1.TraceHash != r3.TraceHash || r1.Events != r3.Events || r1.Dispatched != r3.Dispatched {
-				fail("%s: %d-shard twin diverged: %016x/%d events/%d dispatched vs %016x/%d/%d",
-					name, twin, r1.TraceHash, r1.Events, r1.Dispatched,
-					r3.TraceHash, r3.Events, r3.Dispatched)
-			}
-			checkViolations(fmt.Sprintf("%s: %d-shard twin", name, twin), r3)
 		}
 	}
 	return results, failures

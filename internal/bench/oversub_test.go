@@ -7,10 +7,10 @@ import (
 )
 
 // TestOversubGate is the `make oversub` gate: both oversubscription presets
-// must replay bit-identically at shard counts {0, 2, 4}, hold every
-// scheduler and lease invariant, actually inject faults, demonstrably
-// engage forced revocation (the faults really broke cooperation), and keep
-// the measured reclaim p99 inside the protocol's configured bound.
+// must replay bit-identically, hold every scheduler and lease invariant,
+// actually inject faults, demonstrably engage forced revocation (the faults
+// really broke cooperation), and keep the measured reclaim p99 inside the
+// protocol's configured bound.
 func TestOversubGate(t *testing.T) {
 	results, failures := OversubGate(1, 0, nil)
 	for _, f := range failures {

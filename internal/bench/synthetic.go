@@ -49,10 +49,10 @@ type SynthConfig struct {
 	Seed     uint64
 
 	// machine overrides the standard machine (cost-model ablations, the
-	// engine throughput probe).
+	// event-core probe).
 	machine *hw.Machine
-	// tr, when set, records the run's schedule — the engine differential
-	// harness compares trace hashes across event cores.
+	// tr, when set, records the run's schedule — the attach-only tests
+	// compare trace hashes with and without an observer.
 	tr *trace.Ring
 	// ct, when set, traces every injected request's journey (requires tr —
 	// the tracer folds dispatch events from the trace ring). The causal

@@ -91,9 +91,7 @@ func (e *Engine) assign(w *coreCtx, t *sched.Thread) {
 	// Best-effort grants run until the congestion allocator reclaims the
 	// core; only LC assignments are bounded by the preemption quantum.
 	if q := e.central.Quantum(); q > 0 && !w.beMode {
-		// The quantum check is dispatcher work: pin it to the dispatcher
-		// core's event lane.
-		e.m.Clock.AtOn(e.special.hwc.Lane(), e.m.Now()+q, e.newQCCont(w, t, seq).fire)
+		e.m.Clock.After(q, e.newQCCont(w, t, seq).fire)
 	}
 	cost := e.ec.Handoff
 	if w.lastRanID != t.ID {
@@ -223,16 +221,12 @@ func (e *Engine) startCoreAllocator() {
 	if ca.MaxBECores == 0 {
 		ca.MaxBECores = len(e.cores) - 1
 	}
-	lane := 0
-	if e.special != nil {
-		lane = e.special.hwc.Lane() // allocator decisions are dispatcher work
-	}
 	var check func()
 	check = func() {
 		e.allocCheck()
-		e.m.Clock.AfterOn(lane, ca.CheckInterval, check)
+		e.m.Clock.After(ca.CheckInterval, check)
 	}
-	e.m.Clock.AfterOn(lane, ca.CheckInterval, check)
+	e.m.Clock.After(ca.CheckInterval, check)
 }
 
 // allocCheck reclaims BE cores when the LC queue is congested.

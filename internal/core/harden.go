@@ -69,16 +69,12 @@ func (c *coreCtx) markProgress(now simtime.Time) { c.lastProgress = now }
 // is non-nil, so clean runs see no extra clock events.
 func (e *Engine) startWatchdog() {
 	period := e.harden.WatchdogPeriod
-	lane := 0
-	if e.special != nil {
-		lane = e.special.hwc.Lane() // the sweep is dispatcher-side recovery work
-	}
 	var sweep func()
 	sweep = func() {
 		e.watchdogSweep()
-		e.m.Clock.AfterOn(lane, period, sweep)
+		e.m.Clock.After(period, sweep)
 	}
-	e.m.Clock.AfterOn(lane, period, sweep)
+	e.m.Clock.After(period, sweep)
 }
 
 // watchdogSweep is one pass of the per-core watchdog: first recover any
@@ -172,8 +168,7 @@ func (e *Engine) armPreemptRetry(w *coreCtx, aim uint64, timeout simtime.Duratio
 	if left <= 0 {
 		return
 	}
-	// The retry decision targets worker w: pin it to w's event lane.
-	e.m.Clock.AfterOn(w.hwc.Lane(), timeout, func() {
+	e.m.Clock.After(timeout, func() {
 		if w.assignSeq != aim || w.preemptAim != aim {
 			return // the preemption landed or the assignment moved on
 		}

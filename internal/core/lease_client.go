@@ -34,8 +34,6 @@ const evictRetryDelay = simtime.Microsecond
 // delivers notifications (preempt IPIs) and performs evictions, and kmod's
 // lease marks track the state machine so binding violations surface as
 // errors at the exact transition that caused them.
-//
-//simlint:phase init
 func (e *Engine) startLeaseManager() {
 	e.leaseMgr = lease.NewManager(*e.cfg.Lease, e.m.Clock, &engineLeaseClient{e: e}, e.tr)
 	e.leaseMgr.OnTransition = func(l lease.Lease) {
@@ -86,10 +84,6 @@ func (cl *engineLeaseClient) ForceEvict(core int) {
 	cl.e.forceEvictBE(cl.e.cores[core])
 }
 
-// Lane pins the manager's deadline/escalation events to the worker's event
-// lane so the sharded engine replays them deterministically.
-func (cl *engineLeaseClient) Lane(core int) int { return cl.e.cores[core].hwc.Lane() }
-
 // forceEvictBE is the eviction loop behind ForceEvict: preempt the borrowed
 // worker directly, retrying while the core sits in a non-preemptible window.
 // Every such window is bounded by scheduler costs, so the loop completes
@@ -105,7 +99,7 @@ func (e *Engine) forceEvictBE(w *coreCtx) {
 		if e.watchdogPreempt(w) {
 			return
 		}
-		e.m.Clock.AfterOn(w.hwc.Lane(), evictRetryDelay, try)
+		e.m.Clock.After(evictRetryDelay, try)
 	}
 	try()
 }
@@ -130,8 +124,6 @@ func (e *Engine) leaseReturn(c *coreCtx) {
 // is the kernel-module switch cost, already charged to the core. It reports
 // false — and changes nothing — when the worker is not quiescent (busy,
 // BE-granted, already lent, or mid-IRQ).
-//
-//simlint:phase dispatch
 func (e *Engine) LendWorker(i, borrowerApp, tid int, h func(hw.IRQ)) (simtime.Duration, bool) {
 	c := e.cores[i]
 	if !c.idle || c.beMode || c.extLeased || c.curr != nil || c.hwc.InIRQ() || c.hwc.Running() {
@@ -156,8 +148,6 @@ func (e *Engine) LendWorker(i, borrowerApp, tid int, h func(hw.IRQ)) (simtime.Du
 // and once the switch cost has been charged the worker rejoins the idle
 // pool. The borrower must already have vacated (stopped its timer and
 // re-homed its queued work); the broker orchestrates that ordering.
-//
-//simlint:phase dispatch
 func (e *Engine) ReclaimWorker(i int) {
 	c := e.cores[i]
 	if !c.extLeased {

@@ -25,15 +25,13 @@ import (
 // stitched spans, and — when instrumented — the occupancy report, the
 // sched-doctor diagnosis (run with windowed telemetry before the hash is
 // taken, so the hash witnesses that the doctor touched nothing), plus the
-// live bus's stream hash, window count and flight-recorder trigger count.
+// live bus's window count and the causal tracer's journey counts.
 type obsScenario struct {
 	hash      uint64
 	spans     *obs.SpanSet
 	occ       []obs.CoreOccupancy
 	report    *doctor.Report
-	stream    uint64
 	windows   int
-	causal    uint64 // causal tracer state hash
 	episodes  uint64 // causal journeys completed
 	exemplars int    // causal exemplars retained
 }
@@ -41,11 +39,9 @@ type obsScenario struct {
 // runObsScenario runs a mixed two-app workload with the full observability
 // stack attached (when instrument is true): registry, occupancy profiler,
 // live telemetry bus with an armed (count-only) flight recorder, and the
-// post-hoc doctor. shards 0 runs the serial clock, N the sharded engine.
-func runObsScenario(seed uint64, shards int, instrument bool) obsScenario {
-	hwCfg := hw.DefaultConfig()
-	hwCfg.Shards = shards
-	m := hw.NewMachine(hwCfg)
+// post-hoc doctor.
+func runObsScenario(seed uint64, instrument bool) obsScenario {
+	m := hw.NewMachine(hw.DefaultConfig())
 	tr := trace.New(1 << 14)
 	cfg := core.Config{
 		Machine: m, Trace: tr, Seed: seed,
@@ -108,10 +104,8 @@ func runObsScenario(seed uint64, shards int, instrument bool) obsScenario {
 		if err := bus.Close(); err != nil {
 			panic(err)
 		}
-		out.stream = bus.StreamHash()
 		out.windows = bus.Windows()
 		out.occ = prof.Report()
-		out.causal = ctr.Hash()
 		out.episodes = ctr.Completed()
 		out.exemplars = len(ctr.Exemplars())
 		// Run the full doctor — windowed telemetry, attribution, detectors —
@@ -131,8 +125,8 @@ func runObsScenario(seed uint64, shards int, instrument bool) obsScenario {
 // must yield byte-identical span sets and identical per-app wakeup-latency
 // histograms.
 func TestSpanDeterminism(t *testing.T) {
-	ss1 := runObsScenario(3, 0, false).spans
-	ss2 := runObsScenario(3, 0, false).spans
+	ss1 := runObsScenario(3, false).spans
+	ss2 := runObsScenario(3, false).spans
 	if err := ss1.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,72 +155,51 @@ func TestSpanDeterminism(t *testing.T) {
 // episode-mode causal tracer (extra ring tap + delivery prober), the
 // sched-doctor and its windowed sampler, and requires the trace and span
 // hashes to match the uninstrumented run — observability must be invisible
-// to the scheduler. It pins this at shard counts 0 (serial clock) and 4
-// (sharded engine), and additionally requires the live stream hash and the
-// causal tracer's state hash to be identical across the two shard counts:
-// the published snapshot stream and the exemplar selection are simulation
-// state, not host topology.
+// to the scheduler.
 func TestObservabilityDoesNotPerturb(t *testing.T) {
-	var streams []obsScenario
-	for _, shards := range []int{0, 4} {
-		bare := runObsScenario(9, shards, false)
-		inst := runObsScenario(9, shards, true)
-		if bare.hash != inst.hash {
-			t.Fatalf("shards=%d: instrumentation perturbed the trace: %#x vs %#x",
-				shards, bare.hash, inst.hash)
-		}
-		if bare.spans.Hash() != inst.spans.Hash() {
-			t.Fatalf("shards=%d: instrumentation perturbed the spans: %#x vs %#x",
-				shards, bare.spans.Hash(), inst.spans.Hash())
-		}
-		if inst.windows == 0 {
-			t.Fatalf("shards=%d: live bus published no windows", shards)
-		}
-		if len(inst.occ) != 3 {
-			t.Fatalf("shards=%d: occupancy report covers %d cores, want 3", shards, len(inst.occ))
-		}
-		for _, c := range inst.occ {
-			if c.Samples == 0 {
-				t.Fatalf("shards=%d: cpu %d never sampled", shards, c.CPU)
-			}
-			sum := c.Idle + c.Kernel
-			for _, a := range c.Apps {
-				sum += a
-			}
-			if sum < 0.999 || sum > 1.001 {
-				t.Fatalf("shards=%d: cpu %d shares sum to %v", shards, c.CPU, sum)
-			}
-		}
-		if inst.report == nil || len(inst.report.Windows) == 0 || inst.report.Spans == 0 {
-			t.Fatalf("shards=%d: doctor produced no diagnosis: %+v", shards, inst.report)
-		}
-		if inst.episodes == 0 {
-			t.Fatalf("shards=%d: causal tracer completed no episodes", shards)
-		}
-		if inst.exemplars == 0 {
-			t.Fatalf("shards=%d: causal tracer retained no exemplars", shards)
-		}
-		streams = append(streams, inst)
+	bare := runObsScenario(9, false)
+	inst := runObsScenario(9, true)
+	if bare.hash != inst.hash {
+		t.Fatalf("instrumentation perturbed the trace: %#x vs %#x", bare.hash, inst.hash)
 	}
-	if streams[0].stream != streams[1].stream {
-		t.Fatalf("live stream hash differs across shard counts: serial %#x vs sharded %#x",
-			streams[0].stream, streams[1].stream)
+	if bare.spans.Hash() != inst.spans.Hash() {
+		t.Fatalf("instrumentation perturbed the spans: %#x vs %#x",
+			bare.spans.Hash(), inst.spans.Hash())
 	}
-	if streams[0].windows != streams[1].windows {
-		t.Fatalf("live window count differs across shard counts: %d vs %d",
-			streams[0].windows, streams[1].windows)
+	if inst.windows == 0 {
+		t.Fatal("live bus published no windows")
 	}
-	if streams[0].causal != streams[1].causal {
-		t.Fatalf("causal state hash differs across shard counts: serial %#x vs sharded %#x",
-			streams[0].causal, streams[1].causal)
+	if len(inst.occ) != 3 {
+		t.Fatalf("occupancy report covers %d cores, want 3", len(inst.occ))
+	}
+	for _, c := range inst.occ {
+		if c.Samples == 0 {
+			t.Fatalf("cpu %d never sampled", c.CPU)
+		}
+		sum := c.Idle + c.Kernel
+		for _, a := range c.Apps {
+			sum += a
+		}
+		if sum < 0.999 || sum > 1.001 {
+			t.Fatalf("cpu %d shares sum to %v", c.CPU, sum)
+		}
+	}
+	if inst.report == nil || len(inst.report.Windows) == 0 || inst.report.Spans == 0 {
+		t.Fatalf("doctor produced no diagnosis: %+v", inst.report)
+	}
+	if inst.episodes == 0 {
+		t.Fatal("causal tracer completed no episodes")
+	}
+	if inst.exemplars == 0 {
+		t.Fatal("causal tracer retained no exemplars")
 	}
 }
 
 // TestDoctorReportDeterminism: two seeded instrumented runs must produce
 // byte-identical doctor JSON — the property BENCH_skyloft.json inherits.
 func TestDoctorReportDeterminism(t *testing.T) {
-	r1 := runObsScenario(11, 0, true).report
-	r2 := runObsScenario(11, 0, true).report
+	r1 := runObsScenario(11, true).report
+	r2 := runObsScenario(11, true).report
 	var j1, j2 bytes.Buffer
 	if err := r1.WriteJSON(&j1); err != nil {
 		t.Fatal(err)

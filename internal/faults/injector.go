@@ -77,17 +77,15 @@ func (in *Injector) Attach(ring *trace.Ring) {
 // Detach removes the hooks (stall windows already scheduled still fire).
 func (in *Injector) Detach() { in.m.Hooks = nil }
 
-// armStall schedules the straggler window boundaries for one rule, pinned
-// to the target core's event lane.
+// armStall schedules the straggler window boundaries for one rule.
 func (in *Injector) armStall(r *Rule) {
 	core := in.m.Cores[r.Core]
-	lane := in.m.LaneOf(r.Core)
-	in.m.Clock.AtOn(lane, r.From, func() {
+	in.m.Clock.At(r.From, func() {
 		core.SetStall(r.Factor)
 		in.stats.StallWindows++
 		in.record(r.Core, trace.InjectStallOn)
 	})
-	in.m.Clock.AtOn(lane, r.Until, func() {
+	in.m.Clock.At(r.Until, func() {
 		core.SetStall(1)
 		in.record(r.Core, trace.InjectStallOff)
 	})

@@ -40,16 +40,6 @@ type Config struct {
 	Cores          int
 	CoresPerSocket int
 	Cost           cycles.Model
-
-	// Shards selects the event core: 0 runs the serial simtime.Clock
-	// (the historical default and differential reference), n >= 1 runs a
-	// sharded simtime.Engine with n lanes, cores mapped to lanes in
-	// contiguous groups. Dispatch order — and therefore every trace hash —
-	// is identical either way.
-	Shards int
-	// Lookahead overrides the engine's conservative synchronisation
-	// window (0 = simtime.DefaultLookahead). Ignored when Shards == 0.
-	Lookahead simtime.Duration
 }
 
 // DefaultConfig mirrors the paper's server: 48 hyperthreads across two
@@ -60,7 +50,7 @@ func DefaultConfig() Config {
 
 // Machine is the simulated host.
 type Machine struct {
-	Clock simtime.EventCore
+	Clock *simtime.Clock
 	Cores []*Core
 	Cost  cycles.Model
 
@@ -70,7 +60,6 @@ type Machine struct {
 	Hooks *FaultHooks
 
 	coresPerSocket int
-	lanes          int
 	ipisSent       uint64
 	irqsCoalesced  uint64     // interrupt edges absorbed by a pending vector
 	ipiFree        *ipiFlight // recycled in-flight IPI records
@@ -126,13 +115,7 @@ func (f *ipiFlight) deliver() {
 	target.Interrupt(irq)
 }
 
-// NewMachine builds a machine per cfg with a fresh event core: the serial
-// clock for Shards == 0, a sharded engine otherwise, with cores assigned
-// to lanes in contiguous groups (so a socket's cores share lanes and
-// cross-socket IPIs are the cross-shard traffic, matching the hardware's
-// own locality structure).
-//
-//simlint:phase init
+// NewMachine builds a machine per cfg with a fresh event clock.
 func NewMachine(cfg Config) *Machine {
 	if cfg.Cores <= 0 {
 		panic("hw: machine needs at least one core")
@@ -143,20 +126,10 @@ func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		Cost:           cfg.Cost,
 		coresPerSocket: cfg.CoresPerSocket,
-		lanes:          1,
-	}
-	if cfg.Shards > 0 {
-		e := simtime.NewEngine(cfg.Shards)
-		if cfg.Lookahead > 0 {
-			e.SetLookahead(cfg.Lookahead)
-		}
-		m.Clock = e
-		m.lanes = cfg.Shards
-	} else {
-		m.Clock = simtime.NewClock()
+		Clock:          simtime.NewClock(),
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		c := &Core{ID: i, m: m, lane: i * m.lanes / cfg.Cores}
+		c := &Core{ID: i, m: m}
 		c.Timer = &LAPICTimer{core: c}
 		c.deliverFn = c.deliverOne
 		c.runDoneFn = c.runDone
@@ -164,13 +137,6 @@ func NewMachine(cfg Config) *Machine {
 	}
 	return m
 }
-
-// Lanes reports the event-core shard count (1 for the serial clock).
-func (m *Machine) Lanes() int { return m.lanes }
-
-// LaneOf reports the event-core lane serving core id. Fault and netsim
-// layers use it to pin their per-core events to the owning shard.
-func (m *Machine) LaneOf(id int) int { return m.Cores[id].lane }
 
 // Now reports the current virtual time.
 func (m *Machine) Now() simtime.Time { return m.Clock.Now() }
@@ -206,40 +172,11 @@ func (m *Machine) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("hw.irqs.coalesced", func() uint64 { return m.irqsCoalesced })
 	r.CounterFunc("hw.timer.fires", m.TimerFires)
 	r.CounterFunc("hw.clock.dispatched", m.Clock.Dispatched)
-	r.CounterFunc("engine.shards", func() uint64 { return uint64(m.lanes) })
-	if e, ok := m.Clock.(*simtime.Engine); ok {
-		r.CounterFunc("engine.barriers", e.Barriers)
-		r.CounterFunc("engine.cross_posts", e.CrossPosts)
-		r.CounterFunc("engine.near_posts", e.NearPosts)
-		// Lane self-profile aggregates (full per-lane detail travels in the
-		// live bus's engine section): the busiest lane's dispatch count and
-		// the deepest overflow backlog any lane ever reached.
-		r.CounterFunc("engine.lane_dispatched_max", func() uint64 {
-			var max uint64
-			for _, l := range e.LaneStats() {
-				if l.Dispatched > max {
-					max = l.Dispatched
-				}
-			}
-			return max
-		})
-		r.CounterFunc("engine.lane_backlog_hw", func() uint64 {
-			var max uint64
-			for _, l := range e.LaneStats() {
-				if uint64(l.BacklogHW) > max {
-					max = uint64(l.BacklogHW)
-				}
-			}
-			return max
-		})
-	}
 }
 
 // SendIPI posts an interrupt from core `from` to core `to` after the given
 // wire delay. The *send-side* cost must be charged separately by the caller
 // (it occupies the sender, not the wire).
-//
-//simlint:phase dispatch
 func (m *Machine) SendIPI(from, to int, vec uint8, delay simtime.Duration, data any) {
 	if to < 0 || to >= len(m.Cores) {
 		panic(fmt.Sprintf("hw: IPI to invalid core %d", to))
@@ -269,15 +206,12 @@ func (m *Machine) queueIPI(from, to int, vec uint8, delay simtime.Duration, data
 	}
 	f.target = m.Cores[to]
 	f.irq = IRQ{Vector: vec, From: from, Data: data}
-	// The flight lands on the *target's* lane: an IPI is exactly the
-	// cross-shard traffic the engine's lookahead window accounts for.
-	m.Clock.AfterOn(f.target.lane, delay, f.fire)
+	m.Clock.After(delay, f.fire)
 }
 
-// Core is one simulated hardware thread.
-// Core state is coordinator-owned (//simlint:owner sim): every mutation
-// happens inside serially-dispatched event callbacks, never on a lane
-// worker, and observer-grade packages may not reach it at all.
+// Core is one simulated hardware thread. Its state is owned sim state:
+// every mutation happens inside serially dispatched event callbacks, and
+// observer-grade packages may not reach it at all.
 //
 //simlint:owner sim
 type Core struct {
@@ -285,7 +219,6 @@ type Core struct {
 	Timer *LAPICTimer
 
 	m         *Machine
-	lane      int // event-core lane serving this core's events
 	busyUntil simtime.Time
 	running   bool
 	stall     int64 // wall-time multiplier for occupancy; <=1 means normal
@@ -320,16 +253,9 @@ type runState struct {
 // Machine reports the owning machine.
 func (c *Core) Machine() *Machine { return c.m }
 
-// Lane reports the event-core lane serving this core. Layers scheduling
-// events on another core's behalf (preemption quantum checks, sleep
-// timers, kernel grants) pin them to the target core's lane with it.
-func (c *Core) Lane() int { return c.lane }
-
 // SetIRQHandler installs the engine's interrupt handler. The handler runs
 // with further interrupts masked and must eventually call EndIRQ (possibly
 // from a later Exec continuation).
-//
-//simlint:phase init
 func (c *Core) SetIRQHandler(h func(IRQ)) { c.handler = h }
 
 // BusyTime reports the cumulative occupied (non-idle) time on this core.
@@ -340,8 +266,6 @@ func (c *Core) BusyTime() simtime.Duration { return c.busyAccum }
 // normal speed). Segments already in flight keep the factor they started
 // with. This models a transiently slow core — SMI storms, thermal
 // throttling, a noisy hypervisor neighbour — for fault injection.
-//
-//simlint:phase dispatch
 func (c *Core) SetStall(factor int64) {
 	if factor < 1 {
 		factor = 1
@@ -370,8 +294,6 @@ func (c *Core) free() simtime.Time {
 // bookkeeping starting when prior occupancy ends, then runs fn. fn may be
 // nil. Exec panics if an application segment is currently running: engines
 // must StopRun first.
-//
-//simlint:phase dispatch
 func (c *Core) Exec(cost simtime.Duration, fn func()) {
 	if c.running {
 		panic(fmt.Sprintf("hw: core %d Exec while a run segment is active", c.ID))
@@ -388,14 +310,12 @@ func (c *Core) Exec(cost simtime.Duration, fn func()) {
 	if fn == nil {
 		return
 	}
-	c.m.Clock.AtOn(c.lane, c.busyUntil, fn)
+	c.m.Clock.At(c.busyUntil, fn)
 }
 
 // StartRun begins an interruptible application work segment of the given
 // length, invoking onDone when it completes uninterrupted. Only one segment
 // may be active at a time.
-//
-//simlint:phase dispatch
 func (c *Core) StartRun(d simtime.Duration, onDone func()) {
 	if c.running {
 		panic(fmt.Sprintf("hw: core %d StartRun while already running", c.ID))
@@ -407,7 +327,7 @@ func (c *Core) StartRun(d simtime.Duration, onDone func()) {
 	wall := d * simtime.Duration(scale)
 	start := c.free()
 	c.run = runState{started: start, duration: wall, work: d, scale: scale, onDone: onDone}
-	c.run.done = c.m.Clock.AtOn(c.lane, start+wall, c.runDoneFn)
+	c.run.done = c.m.Clock.At(start+wall, c.runDoneFn)
 	c.running = true
 	c.busyUntil = start + wall
 }
@@ -427,8 +347,6 @@ func (c *Core) Running() bool { return c.running }
 // completed by now (in work units: on a stalled core, wall time is divided
 // by the straggler factor, so accounting stays in the task's own currency).
 // It panics if no segment is active.
-//
-//simlint:phase dispatch
 func (c *Core) StopRun() simtime.Duration {
 	if !c.running {
 		panic(fmt.Sprintf("hw: core %d StopRun with no active run", c.ID))
@@ -462,8 +380,6 @@ func (c *Core) StopRun() simtime.Duration {
 
 // Interrupt queues irq for delivery on this core. Interrupts with the same
 // vector coalesce while pending, matching local-APIC IRR semantics.
-//
-//simlint:phase dispatch
 func (c *Core) Interrupt(irq IRQ) {
 	for i := c.pendingHead; i < len(c.pending); i++ {
 		if c.pending[i].Vector == irq.Vector {
@@ -495,7 +411,7 @@ func (c *Core) scheduleDelivery() {
 	if !c.running && c.busyUntil > at {
 		at = c.busyUntil
 	}
-	c.deliverEvt = c.m.Clock.AtOn(c.lane, at, c.deliverFn)
+	c.deliverEvt = c.m.Clock.At(at, c.deliverFn)
 }
 
 func (c *Core) deliverOne() {
@@ -521,8 +437,6 @@ func (c *Core) InIRQ() bool { return c.inIRQ }
 
 // EndIRQ marks the current handler complete (the UIRET/IRET point) and
 // allows queued interrupts to be delivered once current occupancy drains.
-//
-//simlint:phase dispatch
 func (c *Core) EndIRQ() {
 	if !c.inIRQ {
 		panic(fmt.Sprintf("hw: core %d EndIRQ outside handler", c.ID))
@@ -549,8 +463,6 @@ type LAPICTimer struct {
 }
 
 // Start arms the timer with the given period and interrupt vector.
-//
-//simlint:phase dispatch
 func (t *LAPICTimer) Start(period simtime.Duration, vector uint8) {
 	if period <= 0 {
 		panic("hw: timer period must be positive")
@@ -563,8 +475,6 @@ func (t *LAPICTimer) Start(period simtime.Duration, vector uint8) {
 }
 
 // StartHz arms the timer at hz ticks per second.
-//
-//simlint:phase dispatch
 func (t *LAPICTimer) StartHz(hz int64, vector uint8) {
 	if hz <= 0 {
 		panic("hw: timer frequency must be positive")
@@ -574,8 +484,6 @@ func (t *LAPICTimer) StartHz(hz int64, vector uint8) {
 
 // ArmOneShot programs a single expiry after d (cancelling any pending
 // deadline or periodic programme) — the TSC-deadline register write.
-//
-//simlint:phase dispatch
 func (t *LAPICTimer) ArmOneShot(d simtime.Duration, vector uint8) {
 	if d <= 0 {
 		panic("hw: one-shot deadline must be positive")
@@ -598,12 +506,10 @@ func (t *LAPICTimer) ArmOneShot(d simtime.Duration, vector uint8) {
 			t.core.Interrupt(IRQ{Vector: t.vector, From: TimerSource})
 		}
 	}
-	t.next = t.core.m.Clock.AfterOn(t.core.lane, d, t.oneshotFn)
+	t.next = t.core.m.Clock.After(d, t.oneshotFn)
 }
 
 // Stop disarms the timer.
-//
-//simlint:phase dispatch
 func (t *LAPICTimer) Stop() {
 	t.enabled = false
 	t.oneshot = false
@@ -642,8 +548,8 @@ func (t *LAPICTimer) arm() {
 				t.fires++
 				t.core.Interrupt(IRQ{Vector: t.vector, From: TimerSource})
 			}
-			t.next = t.core.m.Clock.AfterOn(t.core.lane, rearm, t.fireFn)
+			t.next = t.core.m.Clock.After(rearm, t.fireFn)
 		}
 	}
-	t.next = t.core.m.Clock.AfterOn(t.core.lane, t.period, t.fireFn)
+	t.next = t.core.m.Clock.After(t.period, t.fireFn)
 }

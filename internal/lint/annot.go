@@ -7,29 +7,15 @@ import (
 	"strings"
 )
 
-// Ownership and phase annotations (DESIGN.md §14). Where //simlint:allow
-// excuses one finding, these directives *declare the discipline itself* —
-// which state is lane-owned, which functions run in which engine phase,
-// which mutation points observers may touch — so the type-aware analyzers
-// (laneowner, attachonly, barrierphase) can prove the sharded engine's
-// safety story statically instead of only racing it dynamically:
+// Ownership annotations (DESIGN.md §14). Where //simlint:allow excuses one
+// finding, these directives *declare the discipline itself* — which state
+// is owned by the simulation and which mutation points observers may touch
+// — so attachonly can prove observer purity statically:
 //
-//	//simlint:owner <lane|sim> [note]
+//	//simlint:owner sim [note]
 //	    On a type declaration: every instance of the type is owned sim
-//	    state (a "lane" owner means instances belong to one engine lane; a
-//	    "sim" owner means the serial coordinator owns it). On a struct
-//	    field: that field — typically a lane-indexed array on a shared
-//	    struct — is owned even though its parent struct is not.
-//
-//	//simlint:phase <init|dispatch|merge|lane> [note]
-//	    On a function or method: declares the engine phase the function
-//	    executes in. init = single-threaded setup before (or between)
-//	    runs; dispatch = serially-executed event callbacks on the
-//	    coordinator; merge = the barrier-merge phase with every lane
-//	    joined; lane = a per-lane worker running concurrently between
-//	    barriers. Phase membership propagates through the package call
-//	    graph: an unannotated helper reachable from a phase root inherits
-//	    the root's phase (lane, the restrictive phase, wins on overlap).
+//	    state. On a struct field: that field is owned even though its
+//	    parent struct is not.
 //
 //	//simlint:attachpoint <reason>
 //	    On a method of an owned type: the declared attach surface for
@@ -42,57 +28,18 @@ import (
 //	    does not mutate sim state. Interface method bodies cannot be
 //	    analyzed, so owned interfaces default every method to mutating.
 //
-// Malformed annotations (unknown owner class or phase name, a missing
+// Malformed annotations (an owner class other than "sim", a missing
 // attachpoint reason, a directive floating unattached to any declaration)
-// are hygiene findings from the laneowner analyzer, mirroring the
-// //simlint:allow hygiene rules.
+// are directive-hygiene findings, reported by Run under the pseudo-analyzer
+// "simlint" like malformed //simlint:allow directives.
 
 const (
 	ownerPrefix  = "//simlint:owner"
-	phasePrefix  = "//simlint:phase"
 	attachPrefix = "//simlint:attachpoint"
 	roPrefix     = "//simlint:readonly"
 )
 
-// phase classifies a function's declared or inherited execution context.
-type phase uint8
-
-const (
-	phaseInit     phase = iota // single-threaded setup
-	phaseDispatch              // serial coordinator callback
-	phaseMerge                 // barrier merge, all lanes joined
-	phaseLane                  // concurrent per-lane worker
-)
-
-func (p phase) String() string {
-	switch p {
-	case phaseInit:
-		return "init"
-	case phaseDispatch:
-		return "dispatch"
-	case phaseMerge:
-		return "merge"
-	case phaseLane:
-		return "lane"
-	}
-	return "phase(?)"
-}
-
-var phaseNames = map[string]phase{
-	"init":     phaseInit,
-	"dispatch": phaseDispatch,
-	"merge":    phaseMerge,
-	"lane":     phaseLane,
-}
-
-// funcAnn is one function's explicit annotations.
-type funcAnn struct {
-	hasPhase bool
-	phase    phase
-	attach   string // attachpoint reason ("" = not an attach point)
-}
-
-// hygieneNote is one malformed-annotation finding, reported by laneowner.
+// hygieneNote is one malformed-annotation finding.
 type hygieneNote struct {
 	pos token.Pos
 	msg string
@@ -102,18 +49,12 @@ type hygieneNote struct {
 // both the package's own analysis and cross-package lookups (a dependent
 // package writing an imported owned field) resolve through object identity.
 type annots struct {
-	ownerType  map[types.Object]string // TypeName -> owner class
-	ownerField map[types.Object]string // field Var -> owner class
-	fn         map[types.Object]funcAnn
+	ownerType  map[types.Object]bool          // owned TypeNames
+	ownerField map[types.Object]bool          // owned field Vars
+	attach     map[types.Object]string        // attachpoint reasons by *types.Func
 	readonly   map[types.Object]bool          // interface methods asserted read-only
 	decls      map[types.Object]*ast.FuncDecl // *types.Func -> its declaration
 	hygiene    []hygieneNote
-}
-
-// hasOwnerMarks reports whether the package declares any ownership state
-// worth analyzing.
-func (a *annots) hasOwnerMarks() bool {
-	return len(a.ownerType) > 0 || len(a.ownerField) > 0 || len(a.fn) > 0
 }
 
 // annotsFor collects (memoized) the annotations of pkg.
@@ -146,7 +87,7 @@ func parseAnn(text string) (prefix string, fields []string, ok bool) {
 	if i := strings.Index(text, "// want"); i > 0 {
 		text = strings.TrimSpace(text[:i])
 	}
-	for _, p := range []string{ownerPrefix, phasePrefix, attachPrefix, roPrefix} {
+	for _, p := range []string{ownerPrefix, attachPrefix, roPrefix} {
 		rest, found := strings.CutPrefix(text, p)
 		if !found {
 			continue
@@ -165,9 +106,9 @@ func parseAnn(text string) (prefix string, fields []string, ok bool) {
 // only enforce annotations bound to declarations.
 func collectAnnots(pkg *Package) *annots {
 	a := &annots{
-		ownerType:  map[types.Object]string{},
-		ownerField: map[types.Object]string{},
-		fn:         map[types.Object]funcAnn{},
+		ownerType:  map[types.Object]bool{},
+		ownerField: map[types.Object]bool{},
+		attach:     map[types.Object]string{},
 		readonly:   map[types.Object]bool{},
 		decls:      map[types.Object]*ast.FuncDecl{},
 	}
@@ -188,18 +129,18 @@ func collectAnnots(pkg *Package) *annots {
 		return nil, token.NoPos, false
 	}
 
-	ownerOf := func(groups ...*ast.CommentGroup) (string, token.Pos, bool) {
+	ownerOf := func(groups ...*ast.CommentGroup) (token.Pos, bool) {
 		for _, g := range groups {
 			if fields, pos, ok := takeOne(g, ownerPrefix); ok {
-				if len(fields) == 0 || (fields[0] != "lane" && fields[0] != "sim") {
+				if len(fields) == 0 || fields[0] != "sim" {
 					a.hygiene = append(a.hygiene, hygieneNote{pos,
-						`simlint:owner needs an owner class ("lane" or "sim")`})
-					return "", pos, false
+						`simlint:owner needs the owner class "sim"`})
+					return pos, false
 				}
-				return fields[0], pos, true
+				return pos, true
 			}
 		}
-		return "", token.NoPos, false
+		return token.NoPos, false
 	}
 
 	for _, f := range pkg.Files {
@@ -211,28 +152,13 @@ func collectAnnots(pkg *Package) *annots {
 					continue
 				}
 				a.decls[obj] = d
-				ann := funcAnn{}
-				if fields, pos, ok := takeOne(d.Doc, phasePrefix); ok {
-					if len(fields) == 0 {
-						a.hygiene = append(a.hygiene, hygieneNote{pos,
-							"simlint:phase names no phase (init, dispatch, merge or lane)"})
-					} else if p, known := phaseNames[fields[0]]; !known {
-						a.hygiene = append(a.hygiene, hygieneNote{pos,
-							`simlint:phase names unknown phase "` + fields[0] + `"`})
-					} else {
-						ann.hasPhase, ann.phase = true, p
-					}
-				}
 				if fields, pos, ok := takeOne(d.Doc, attachPrefix); ok {
 					if len(fields) == 0 {
 						a.hygiene = append(a.hygiene, hygieneNote{pos,
 							"simlint:attachpoint has no reason; explain why observers may call it"})
 					} else {
-						ann.attach = strings.Join(fields, " ")
+						a.attach[obj] = strings.Join(fields, " ")
 					}
-				}
-				if ann.hasPhase || ann.attach != "" {
-					a.fn[obj] = ann
 				}
 			case *ast.GenDecl:
 				if d.Tok != token.TYPE {
@@ -251,8 +177,8 @@ func collectAnnots(pkg *Package) *annots {
 					if len(d.Specs) == 1 {
 						docs = append(docs, d.Doc)
 					}
-					if class, _, ok := ownerOf(docs...); ok {
-						a.ownerType[tobj] = class
+					if _, ok := ownerOf(docs...); ok {
+						a.ownerType[tobj] = true
 					}
 					switch t := ts.Type.(type) {
 					case *ast.StructType:
@@ -283,9 +209,9 @@ func collectAnnots(pkg *Package) *annots {
 }
 
 func collectFieldOwners(pkg *Package, a *annots, fields *ast.FieldList,
-	ownerOf func(...*ast.CommentGroup) (string, token.Pos, bool)) {
+	ownerOf func(...*ast.CommentGroup) (token.Pos, bool)) {
 	for _, field := range fields.List {
-		class, pos, ok := ownerOf(field.Doc, field.Comment)
+		pos, ok := ownerOf(field.Doc, field.Comment)
 		if !ok {
 			continue
 		}
@@ -296,7 +222,7 @@ func collectFieldOwners(pkg *Package, a *annots, fields *ast.FieldList,
 		}
 		for _, name := range field.Names {
 			if obj := pkg.Info.Defs[name]; obj != nil {
-				a.ownerField[obj] = class
+				a.ownerField[obj] = true
 			}
 		}
 	}
@@ -321,7 +247,7 @@ func collectIfaceMarks(pkg *Package, a *annots, methods *ast.FieldList,
 					a.hygiene = append(a.hygiene, hygieneNote{pos,
 						"simlint:attachpoint has no reason; explain why observers may call it"})
 				} else {
-					a.fn[obj] = funcAnn{attach: strings.Join(fields, " ")}
+					a.attach[obj] = strings.Join(fields, " ")
 				}
 			}
 		}
@@ -332,23 +258,35 @@ func collectIfaceMarks(pkg *Package, a *annots, methods *ast.FieldList,
 // selected field itself carries an owner annotation, or the receiver's
 // named type is owner-annotated as a whole. Lookups cross package
 // boundaries through the loader's annotation cache.
-func (l *Loader) ownedAt(sel *types.Selection) (class string, owned bool) {
-	obj := sel.Obj()
-	if v, ok := obj.(*types.Var); ok {
-		if ann := l.annotsOfObj(v); ann != nil {
-			if class, ok := ann.ownerField[v]; ok {
-				return class, true
-			}
+func (l *Loader) ownedAt(sel *types.Selection) bool {
+	if v, ok := sel.Obj().(*types.Var); ok {
+		if ann := l.annotsOfObj(v); ann != nil && ann.ownerField[v] {
+			return true
 		}
 	}
 	if tn := namedTypeName(sel.Recv()); tn != nil {
-		if ann := l.annotsOfObj(tn); ann != nil {
-			if class, ok := ann.ownerType[tn]; ok {
-				return class, true
-			}
+		if ann := l.annotsOfObj(tn); ann != nil && ann.ownerType[tn] {
+			return true
 		}
 	}
-	return "", false
+	return false
+}
+
+// attachReasonOf resolves fn's //simlint:attachpoint reason ("" if none),
+// looking across package boundaries through the loader.
+func (l *Loader) attachReasonOf(fn *types.Func) string {
+	ann := l.annotsOfObj(fn)
+	if ann == nil {
+		return ""
+	}
+	return ann.attach[fn]
+}
+
+// readonlyIface reports whether fn is an interface method asserted
+// //simlint:readonly in its declaring package.
+func (l *Loader) readonlyIface(fn *types.Func) bool {
+	ann := l.annotsOfObj(fn)
+	return ann != nil && ann.readonly[fn]
 }
 
 // namedTypeName unwraps pointers and aliases down to the defined type's

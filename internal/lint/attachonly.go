@@ -29,13 +29,13 @@ func runAttachOnly(pass *Pass) {
 	}
 	l := pkg.loader
 	checkWrite := func(lhs ast.Expr) {
-		lv := ownedLValue(pass.Info, l, lhs)
-		if lv.sel == nil {
+		sel := ownedLValue(pass.Info, l, lhs)
+		if sel == nil {
 			return
 		}
-		pass.Reportf(lv.sel.Pos(),
-			"observer-grade package writes %s-owned field %s; observability layers hold no sim state",
-			lv.class, lv.sel.Sel.Name)
+		pass.Reportf(sel.Pos(),
+			"observer-grade package writes sim-owned field %s; observability layers hold no sim state",
+			sel.Sel.Name)
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -74,7 +74,7 @@ func checkMethodUse(pass *Pass, l *Loader, sel *ast.SelectorExpr) {
 	if ann == nil {
 		return
 	}
-	if _, owned := ann.ownerType[tn]; !owned {
+	if !ann.ownerType[tn] {
 		return
 	}
 	if reason := l.attachReasonOf(fn); reason != "" {
@@ -94,5 +94,29 @@ func checkMethodUse(pass *Pass, l *Loader, sel *ast.SelectorExpr) {
 		pass.Reportf(sel.Sel.Pos(),
 			"observer calls mutating method %s.%s of an owned type",
 			tn.Name(), fn.Name())
+	}
+}
+
+// ownedLValue walks an lvalue chain (selectors, indexes, derefs, parens)
+// from the written expression down to its root and returns the outermost
+// owner-annotated field selection along it, or nil when the write does not
+// touch owned state. Ownership is looked up through the loader, so
+// annotations of imported packages count.
+func ownedLValue(info *types.Info, l *Loader, lhs ast.Expr) *ast.SelectorExpr {
+	e := lhs
+	for {
+		switch x := unparen(e).(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal && l.ownedAt(s) {
+				return x
+			}
+			e = x.X
+		default:
+			return nil
+		}
 	}
 }

@@ -11,8 +11,7 @@ import "go/ast"
 // replay quietly breaks. internal/proc spawns nothing itself (iter.Pull
 // does), so it is patrolled like any other package; the sanctioned spawn
 // sites are the bench.Sweep worker pool (whole-simulation parallelism
-// with input-order results), the engine lane workers and the live bus
-// below; real-runtime measurement code carries a //simlint:allow.
+// with input-order results) and the live bus below; real-runtime measurement code carries a //simlint:allow.
 var GoSpawn = &Analyzer{
 	Name:    "gospawn",
 	Doc:     "forbid bare go statements in deterministic packages; spawn through the proc.P pool or bench.Sweep",

@@ -21,17 +21,12 @@
 //   - durationlit: raw integer nanosecond literals where a simtime value is
 //     expected — typed constants only.
 //
-// A second, type-aware tier (DESIGN.md §14) enforces the sharded engine's
-// data-ownership contract over //simlint:owner and //simlint:phase
-// annotations, using a per-package call graph with phase reachability:
+// A seventh, type-aware analyzer (DESIGN.md §14) enforces observer purity
+// over //simlint:owner, //simlint:attachpoint and //simlint:readonly
+// annotations:
 //
-//   - laneowner: owner-annotated state written from the wrong phase —
-//     sim-class state is serial-only, lane-class writes must be confined
-//     to the worker's own lane.
 //   - attachonly: observer-grade packages (internal/obs/...) mutating sim
 //     state — observers read, and attach through declared attach points.
-//   - barrierphase: merge- or dispatch-phase functions reachable from
-//     lane-callback context — a structural race between barriers.
 //
 // Findings are suppressed with an explicit, reasoned directive:
 //
@@ -41,6 +36,7 @@
 // comment to cover the whole function. A directive with an unknown analyzer
 // name or no reason is itself a finding, and so is a directive that matched
 // nothing while its analyzer patrolled the package (the stale-allow audit).
+// Malformed ownership annotations are hygiene findings too.
 // cmd/simlint is the driver; the repo-wide meta-test (TestSimlintRepoClean)
 // keeps the tree at zero unsuppressed findings.
 package lint
@@ -88,9 +84,9 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	// Lpkg is the loaded package itself, giving type-aware analyzers
-	// (ownercheck tier) the loader's whole-program view: dependency ASTs,
-	// ownership annotations, and the memoized call-graph analyses.
+	// Lpkg is the loaded package itself, giving the type-aware analyzer the
+	// loader's whole-program view: dependency ASTs, ownership annotations
+	// and memoized mutation verdicts.
 	Lpkg *Package
 
 	diags *[]Diagnostic
@@ -121,12 +117,12 @@ func (p *Pass) ReportSuppressedf(pos token.Pos, reason, format string, args ...a
 }
 
 // All returns the full simlint suite in reporting order: the six
-// determinism analyzers (DESIGN.md §9) followed by the three type-aware
-// ownership analyzers (DESIGN.md §14).
+// determinism analyzers (DESIGN.md §9) followed by the type-aware
+// attachonly analyzer (DESIGN.md §14).
 func All() []*Analyzer {
 	return []*Analyzer{
 		Wallclock, GlobalRand, MapOrder, GoSpawn, SelectOrder, DurationLit,
-		LaneOwner, AttachOnly, BarrierPhase,
+		AttachOnly,
 	}
 }
 
@@ -159,6 +155,7 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	}
 	sup := collectDirectives(pkg, known)
 	diags = append(diags, sup.issues...)
+	diags = append(diags, annotationIssues(pkg)...)
 	for i := range diags {
 		d := &diags[i]
 		if d.Suppressed {
@@ -194,6 +191,24 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 		return a.Analyzer < b.Analyzer
 	})
 	return diags
+}
+
+// annotationIssues reports pkg's malformed ownership annotations (see
+// annot.go) as unsuppressible directive-hygiene findings, for every package
+// in the module whatever analyzers run.
+func annotationIssues(pkg *Package) []Diagnostic {
+	if pkg.loader == nil || !moduleScope(pkg.Path) {
+		return nil
+	}
+	var out []Diagnostic
+	for _, h := range pkg.loader.annotsFor(pkg).hygiene {
+		out = append(out, Diagnostic{
+			Analyzer: "simlint",
+			Pos:      pkg.Fset.Position(h.pos),
+			Message:  h.msg,
+		})
+	}
+	return out
 }
 
 // Unsuppressed filters diags down to the findings that gate the build.

@@ -41,10 +41,6 @@ var fileAllowlist = map[string]map[string]string{
 		// a self-contained simulation, and results are returned in input
 		// order, so host interleaving cannot reach any sim state.
 		"internal/bench/sweep.go": "bench.Sweep is the sanctioned parallel-trial pool",
-		// The engine's barrier-phase lane workers touch strictly disjoint
-		// per-lane state and are joined before dispatch resumes, so host
-		// interleaving cannot reorder events or reach shared sim state.
-		"internal/simtime/engine_par.go": "engine lane workers operate on disjoint lane state between barriers",
 	},
 }
 

@@ -24,7 +24,7 @@ func (p *probe) attach() {
 	_ = p.ring.Total()
 	_ = p.ring.Hash()
 	_ = p.clock.Now()
-	_ = p.clock.Pending()
+	_ = p.clock.Dispatched()
 }
 
 func (p *probe) onEvent(ev trace.Event) { p.last = ev }
@@ -36,7 +36,7 @@ func (p *probe) perturb() {
 	p.ring.Record(trace.Event{}) // want `observer calls mutating method Ring\.Record of an owned type`
 	p.ring.Reset()               // want `observer calls mutating method Ring\.Reset of an owned type`
 	p.clock.After(1, func() {})  // want `observer calls EventCore\.After: method of an owned interface not asserted //simlint:readonly`
-	_ = p.clock.Run(100)         // want `observer calls EventCore\.Run: method of an owned interface not asserted //simlint:readonly`
+	_ = p.clock.At(100, nil)     // want `observer calls EventCore\.At: method of an owned interface not asserted //simlint:readonly`
 }
 
 // stolen takes a mutating method value without calling it — the reference

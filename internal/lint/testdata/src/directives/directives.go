@@ -1,7 +1,7 @@
 // Package directives exercises simlint's directive hygiene: a malformed
-// //simlint:allow — unknown analyzer, no analyzer, or no reason — is itself
-// a finding from the pseudo-analyzer "simlint", and the broken directive
-// suppresses nothing.
+// //simlint:allow — unknown analyzer, no analyzer, or no reason — or a
+// malformed ownership annotation is itself a finding from the
+// pseudo-analyzer "simlint", and the broken directive suppresses nothing.
 package directives
 
 import "time"
@@ -20,4 +20,19 @@ func goodDirective() {
 // stale-suppression audit reports it so dead exceptions cannot linger.
 func staleDirective() {
 	_ = 1 + 1 //simlint:allow wallclock fixture: nothing here reads the clock any more // want `simlint:allow wallclock matched no finding; the exception is stale`
+}
+
+// Malformed ownership annotations are hygiene findings too: an owner class
+// other than "sim" ("lane" included), and an annotation
+// floating inside a function body where no declaration can carry it.
+
+//simlint:owner stack // want `simlint:owner needs the owner class "sim"`
+type wat struct{ n int }
+
+//simlint:owner lane // want `simlint:owner needs the owner class "sim"`
+type shard struct{ n int }
+
+func misplaced() {
+	//simlint:owner sim // want `simlint:owner directive is not attached to a top-level type, field or function declaration`
+	_ = 0
 }

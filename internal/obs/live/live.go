@@ -1,9 +1,9 @@
 // Package live is the streaming telemetry bus: it folds the trace stream
 // into windowed snapshots (doctor-style window stats, per-app wakeup
-// percentiles, metrics-registry deltas, occupancy, engine lane profiles,
-// live pathology findings) and publishes them incrementally at virtual-time
-// boundaries instead of only at run end — the online view that post-hoc
-// spans, Perfetto exports and doctor reports cannot give.
+// percentiles, metrics-registry deltas, occupancy, live pathology findings)
+// and publishes them incrementally at virtual-time boundaries instead of
+// only at run end — the online view that post-hoc spans, Perfetto exports
+// and doctor reports cannot give.
 //
 // # Attach-only
 //
@@ -11,38 +11,22 @@
 // it never mutates scheduler state) and a self-rescheduling boundary event
 // on the virtual clock (the same mechanism as obs.Profiler). Neither
 // perturbs the schedule, so golden trace and span hashes are bit-identical
-// with the bus attached; the perturbation tests pin this at shard counts 0
-// and 4.
+// with the bus attached; the perturbation tests pin this.
 //
-// # Window closing and shard invariance
+// # Window closing
 //
 // Windows close lazily from the tap — the first event recorded at or past
 // the boundary closes every window up to it — plus an explicit boundary
-// event so idle stretches still publish. Both run in global dispatch order,
-// which the sharded engine reproduces bit-identically to the serial clock,
-// so window sequences are identical at every shard count. On the engine the
-// boundary event additionally forces a barrier merge before it dispatches
-// (step crosses barrier(at) for any event past the safe window), which
-// snaps window closes to barrier merges — the fix for window drift that
-// lane-local closing would cause. Crucially the bus must NOT close windows
-// from an EventCore observer: the serial clock runs observers after every
-// dispatch but the engine only at barrier merges, so observer-driven
-// closing would drift with the shard count.
-//
-// The stream hash covers a canonical form of each snapshot that omits the
-// Engine section and `engine.*` registry metrics — those describe the
-// host-side shard topology (lane counts, barrier totals) and legitimately
-// differ across shard counts, while everything else in the snapshot is
-// simulation state and must not. Same seed and plan therefore hash
-// identically at any shard count; the exported NDJSON still carries the
-// full snapshot including the engine profile.
+// event so idle stretches still publish. Both run in dispatch order, so the
+// window sequence is a pure function of the simulation. The stream hash
+// covers every published snapshot's JSON line: same seed and plan hash
+// identically.
 package live
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
 	"skyloft/internal/det"
@@ -118,34 +102,6 @@ type MetricDelta struct {
 	Delta float64 `json:"delta"`
 }
 
-// LaneProfile mirrors simtime.LaneStat with JSON tags.
-type LaneProfile struct {
-	Lane       int    `json:"lane"`
-	Dispatched uint64 `json:"dispatched"`
-	OverheadNs uint64 `json:"overhead_ns"`
-	Migrated   uint64 `json:"migrated"`
-	Pending    int    `json:"pending"`
-	Backlog    int    `json:"backlog"`
-	BacklogHW  int    `json:"backlog_hw"`
-}
-
-// EngineStats is the sharded event core's self-profile: cumulative barrier
-// and cross-post counts, lookahead-window occupancy, and the per-lane
-// dispatch/overhead/backlog breakdown. Present only when the source clock
-// is a *simtime.Engine, and excluded from the stream hash (shard topology
-// is host configuration, not simulation state).
-type EngineStats struct {
-	Shards     int    `json:"shards"`
-	Barriers   uint64 `json:"barriers"`
-	CrossPosts uint64 `json:"cross_posts"`
-	NearPosts  uint64 `json:"near_posts"`
-	OverheadNs uint64 `json:"overhead_ns"`
-	// WindowOccupancy is dispatched events per barrier window — how much
-	// parallel-safe work each conservative lookahead window carries.
-	WindowOccupancy float64       `json:"window_occupancy"`
-	Lanes           []LaneProfile `json:"lanes"`
-}
-
 // Snapshot is one published window.
 type Snapshot struct {
 	Seq         int                 `json:"seq"`
@@ -158,7 +114,6 @@ type Snapshot struct {
 	TotalEvents uint64              `json:"total_events"`
 	TotalSpans  int                 `json:"total_spans"`
 	Partial     bool                `json:"partial,omitempty"` // final flush of an unfinished window
-	Engine      *EngineStats        `json:"engine,omitempty"`
 }
 
 // pendingWake tracks a woken, not-yet-dispatched task.
@@ -354,9 +309,7 @@ func (b *Bus) starve(app int, firstAt simtime.Time, lat simtime.Duration) {
 	b.starved[app] = s
 }
 
-// tick is the boundary event: close windows up to now and re-arm. On the
-// sharded engine, dispatching this event forces a barrier merge first, so
-// the window close coincides with a barrier.
+// tick is the boundary event: close windows up to now and re-arm.
 func (b *Bus) tick() {
 	if b.closed {
 		return
@@ -377,25 +330,18 @@ func (b *Bus) publish(partial bool) {
 		end = b.src.Clock.Now()
 	}
 	snap := b.buildSnapshot(end, partial)
-
-	core := snap
-	core.Engine = nil // shard topology: excluded from the determinism hash
-	coreLine, err := json.Marshal(&core)
+	line, err := json.Marshal(&snap)
 	if err != nil {
 		panic(fmt.Sprintf("live: snapshot marshal: %v", err))
 	}
 	h := b.streamHash
-	for _, c := range coreLine {
+	for _, c := range line {
 		h = (h ^ uint64(c)) * fnvPrime
 	}
 	b.streamHash = (h ^ '\n') * fnvPrime
 	b.nwin++
 
 	if b.ch != nil {
-		line, err := json.Marshal(&snap)
-		if err != nil {
-			panic(fmt.Sprintf("live: snapshot marshal: %v", err))
-		}
 		b.ch <- append(line, '\n')
 	}
 
@@ -501,9 +447,6 @@ func (b *Bus) buildSnapshot(end simtime.Time, partial bool) Snapshot {
 	}
 	if b.src.Registry != nil {
 		for _, s := range b.src.Registry.Snapshot() {
-			if strings.HasPrefix(s.Name, "engine.") {
-				continue // shard topology: reported via the Engine section
-			}
 			snap.Metrics = append(snap.Metrics, MetricDelta{
 				Name:  s.Name,
 				Value: s.Value,
@@ -517,30 +460,6 @@ func (b *Bus) buildSnapshot(end simtime.Time, partial bool) Snapshot {
 	}
 	if b.src.Causal != nil {
 		snap.Exemplars = b.src.Causal.Summaries()
-	}
-	if eng, ok := b.src.Clock.(*simtime.Engine); ok {
-		es := &EngineStats{
-			Shards:     eng.Lanes(),
-			Barriers:   eng.Barriers(),
-			CrossPosts: eng.CrossPosts(),
-			NearPosts:  eng.NearPosts(),
-			OverheadNs: eng.OverheadNs(),
-		}
-		if es.Barriers > 0 {
-			es.WindowOccupancy = float64(eng.Dispatched()) / float64(es.Barriers)
-		}
-		for _, l := range eng.LaneStats() {
-			es.Lanes = append(es.Lanes, LaneProfile{
-				Lane:       l.Lane,
-				Dispatched: l.Dispatched,
-				OverheadNs: l.OverheadNs,
-				Migrated:   l.Migrated,
-				Pending:    l.Pending,
-				Backlog:    l.Backlog,
-				BacklogHW:  l.BacklogHW,
-			})
-		}
-		snap.Engine = es
 	}
 	return snap
 }
@@ -577,9 +496,8 @@ func (b *Bus) Close() error {
 	return b.werr
 }
 
-// StreamHash is the determinism witness over every published snapshot's
-// canonical (engine-free) form. Identical seed and plan produce an
-// identical stream hash at any shard count.
+// StreamHash is the determinism witness over every published snapshot.
+// Identical seed and plan produce an identical stream hash.
 func (b *Bus) StreamHash() uint64 { return b.streamHash }
 
 // Windows reports how many snapshots have been published.
