@@ -112,16 +112,16 @@ live-smoke:
 	grep -q '"reason": "live finding: starvation"' $$tmp/flight/manifest.json && \
 	echo "live-smoke OK"
 
-# Causal-tracing smoke (DESIGN.md §13): run the Fig. 5 companion probe with
-# the per-request causal tracer attached, validate the Perfetto export's
-# flow arrows bind every journey point inside a CPU slice (tracecheck
-# -flows), require the printed exemplar table, and render the worst
-# exemplar's annotated timeline with cmd/skyloft-explain — the grep pins
-# the per-edge critical-path line that must sum to the sojourn.
+# Causal-tracing smoke (DESIGN.md §13): run skyloft-bench's quick observed
+# run (the per-request causal tracer is always attached), validate the
+# Perfetto export's flow arrows bind every journey point inside a CPU slice
+# (tracecheck -flows), require the printed exemplar table, and render the
+# worst exemplar's annotated timeline with cmd/skyloft-explain — the grep
+# pins the per-edge critical-path line that must sum to the sojourn.
 .PHONY: causal-smoke
 causal-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
-	$(GO) run ./cmd/schbench -fig 5 -reqs 5 -seed 1 \
+	$(GO) run ./cmd/skyloft-bench -fig observed -quick -seed 1 \
 		-causal-out $$tmp/causal.json -trace-out $$tmp/trace.json \
 		> $$tmp/out.txt && \
 	grep -q 'causal: .* journeys traced' $$tmp/out.txt && \

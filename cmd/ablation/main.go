@@ -8,24 +8,29 @@
 //   - model: per-CPU (Fig. 2a) vs centralized (Fig. 2b) on the same
 //     dispersive workload;
 //   - costs: the Skyloft-vs-ghOSt tail ordering under a globally scaled
-//     cost model (is the conclusion robust to the exact constants?).
+//     cost model (is the conclusion robust to the exact constants?);
+//   - quantum: Skyloft's Fig. 7a p99 at 90% dispersive load with 15, 30
+//     and 50 µs quanta (the paper's quantum comparison; -load does not
+//     apply).
 //
 // Usage:
 //
-//	ablation [-which timer|net|model|costs|all] [-load 0.6] [-dur 200ms]
+//	ablation [-which timer|net|model|costs|quantum|all] [-load 0.6] [-dur 200ms]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
+	"skyloft/internal/apps/server"
 	"skyloft/internal/bench"
 	"skyloft/internal/simtime"
 )
 
 func main() {
-	which := flag.String("which", "all", "ablation to run: timer, net, model, costs, or all")
+	which := flag.String("which", "all", "ablation to run: timer, net, model, costs, quantum, or all")
 	load := flag.Float64("load", 0.6, "offered load as a fraction of capacity")
 	dur := flag.Duration("dur", 200*time.Millisecond, "measurement window (virtual)")
 	seed := flag.Uint64("seed", 1, "random seed")
@@ -34,6 +39,13 @@ func main() {
 	bench.SetSweepWorkers(*par)
 
 	d := simtime.Duration(dur.Nanoseconds())
+
+	switch *which {
+	case "timer", "net", "model", "costs", "quantum", "all":
+	default:
+		fmt.Fprintf(os.Stderr, "ablation: unknown -which %q (valid: timer, net, model, costs, quantum, all)\n", *which)
+		os.Exit(2)
+	}
 
 	if *which == "timer" || *which == "all" {
 		fmt.Println("# timer delegation: periodic vs one-shot deadline (RocksDB, 5us quantum)")
@@ -64,6 +76,18 @@ func main() {
 		ratios := bench.CostSensitivity(scales, d, *seed)
 		for _, s := range scales {
 			fmt.Printf("  scale %.2fx: ratio %.2f (must stay > 1)\n", s, ratios[s])
+		}
+		fmt.Println()
+	}
+	if *which == "quantum" || *which == "all" {
+		fmt.Println("# preemption quantum: Skyloft at 90% dispersive load (Fig. 7a workload)")
+		capacity := bench.Capacity(bench.Fig7Workers, server.DispersiveClasses())
+		for _, q := range []simtime.Duration{15 * simtime.Microsecond, 30 * simtime.Microsecond, 50 * simtime.Microsecond} {
+			p := bench.RunSynthetic(bench.SynthConfig{
+				System: bench.SynthSkyloft, Quantum: q, Rate: 0.9 * capacity,
+				Duration: d, Seed: *seed,
+			})
+			fmt.Printf("skyloft quantum=%v @90%%: p99=%.1fus tput=%.0f\n", q, p.P99, p.Throughput)
 		}
 	}
 }

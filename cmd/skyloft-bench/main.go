@@ -2,30 +2,32 @@
 // one run: Fig. 5 and 6 (schbench), Fig. 7a/7b/7c (synthetic dispersive
 // workload, alone and with a batch co-runner), Fig. 8a (Memcached) and
 // Fig. 8b (RocksDB server), plus the §5.4 microbenchmarks (Tables 6 and 7),
-// the inter-application switch cost, and Table 4 (policy LoC).
-//
-// A full run takes some minutes of wall-clock time; use -quick for a
-// reduced sweep.
+// the inter-application switch cost, and Table 4 (policy LoC). Each is an
+// entry of the internal/bench figure registry; -fig runs one entry, and a
+// run ends with the host seconds each entry took. -quick runs every
+// entry's reduced grid.
 //
 // -report-out writes the machine-readable BENCH_skyloft.json summary (one
 // key metric per figure plus the sched-doctor findings and a determinism
 // hash; compare two with cmd/benchdiff); -report-only skips the printed
 // tables and produces just the report, which is what `make bench-json`
-// runs. -doctor-out writes the instrumented run's sched-doctor diagnosis.
+// runs.
 //
-// The instrumented companion run always carries the causal tracer: its
-// slow-episode exemplars print next to the span summary (with per-edge
-// critical-path attribution), -causal-out writes the exemplar document for
-// cmd/skyloft-explain, and -trace-out links each exemplar's journey across
-// the CPU tracks with Perfetto flow arrows.
+// The first entry, observed, is an instrumented companion run. It always
+// carries the causal tracer: its slow-episode exemplars print next to the
+// span summary (with per-edge critical-path attribution). The
+// observability flags apply to it alone: -causal-out writes the exemplar
+// document for cmd/skyloft-explain, -trace-out exports the run as Perfetto
+// JSON with each exemplar's journey linked across the CPU tracks by flow
+// arrows, -metrics-out snapshots the metrics registry, -doctor-out writes
+// the sched-doctor diagnosis and -occupancy prints per-core shares.
 //
 // The live flags (-live-out, -live-window, -live-http, -flight-dir) stream
-// the instrumented companion run's telemetry while it executes. Combined
-// with -chaos and a single plan name, they switch the chaos path to the
-// flight probe: one faulted run with the telemetry bus and flight recorder
-// attached, dumping a post-mortem bundle (trace slice + window stats +
-// metrics) into -flight-dir when a pathology detector or the invariant
-// checker fires.
+// the observed run's telemetry while it executes. Combined with -chaos and
+// a single plan name, they switch the chaos path to the flight probe: one
+// faulted run with the telemetry bus and flight recorder attached, dumping
+// a post-mortem bundle (trace slice + window stats + metrics) into
+// -flight-dir when a pathology detector or the invariant checker fires.
 //
 // -oversub runs the oversubscription survival gate instead of the sweep:
 // each lease preset is replayed bit-identically with cross-app invariants
@@ -34,22 +36,19 @@
 //
 // Usage:
 //
-//	skyloft-bench [-quick] [-seed 1] [-report-out BENCH_skyloft.json] [-report-only]
+//	skyloft-bench [-fig ID] [-quick] [-seed 1] [-report-out BENCH_skyloft.json] [-report-only]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
-	"skyloft/internal/apps/server"
 	"skyloft/internal/bench"
 	"skyloft/internal/lint"
 	"skyloft/internal/obs"
-	"skyloft/internal/obs/doctor"
-	"skyloft/internal/obs/live"
-	"skyloft/internal/simtime"
 )
 
 // runFlight runs one preset chaos plan with the live telemetry bus and
@@ -247,7 +246,15 @@ func lintFindings() int {
 	return n
 }
 
+// usage reports a flag error and exits with status 2, as the flag package
+// does for a malformed flag.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "skyloft-bench:", msg)
+	os.Exit(2)
+}
+
 func main() {
+	fig := flag.String("fig", "", "run one figure instead of all: "+strings.Join(bench.FigureIDs(), ", "))
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
 	seed := flag.Uint64("seed", 1, "random seed")
 	par := flag.Int("par", 0, "max parallel trials (0 = GOMAXPROCS, 1 = serial)")
@@ -259,6 +266,21 @@ func main() {
 	of := obs.BindFlags()
 	flag.Parse()
 	bench.SetSweepWorkers(*par)
+
+	figs := bench.Figures()
+	if *fig != "" {
+		f, err := bench.LookupFigure(*fig)
+		if err != nil {
+			usage(err.Error())
+		}
+		if *chaos != "" || *oversub != "" || *reportOnly {
+			usage("-fig selects a figure of the sweep; -chaos, -oversub and -report-only skip the sweep")
+		}
+		if f.ID != "observed" && of.Active() {
+			usage("the observability flags apply to -fig observed only")
+		}
+		figs = []bench.Figure{f}
+	}
 
 	if *chaos != "" {
 		if *chaos != "all" && of.LiveActive() {
@@ -283,184 +305,33 @@ func main() {
 	}
 
 	start := time.Now() //simlint:allow wallclock progress timestamps on stdout only, never in reports
-
-	workers := []int{8, 16, 24, 32, 40, 48, 56, 64}
-	reqs := 50
-	loadFracs := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 1.0}
-	dur := 300 * simtime.Millisecond
-	if *quick {
-		workers = []int{16, 32, 48}
-		reqs = 15
-		loadFracs = []float64{0.2, 0.5, 0.8, 0.95}
-		dur = 100 * simtime.Millisecond
-	}
-
 	section := func(name string) {
 		//simlint:allow wallclock section headers show elapsed wall time for the human watching
 		fmt.Printf("==== %s (t=%.0fs) ====\n", name, time.Since(start).Seconds())
 	}
 
-	section("Span-derived wakeup latency (per app)")
-	obsDur := 50 * simtime.Millisecond
-	if *quick {
-		obsDur = 10 * simtime.Millisecond
-	}
-	var sess *live.Session
-	run := bench.ObservedRunOpts(*seed, obsDur, bench.ObserveOpts{
-		Profile: of.Occupancy,
-		Causal:  true,
-		PreRun: func(h bench.RunHooks) {
-			var err error
-			sess, err = live.FromFlags(of, live.Config{}, live.Source{
-				Clock:    h.Clock,
-				Ring:     h.Ring,
-				Registry: h.Registry,
-				Profiler: h.Profiler,
-				AppNames: h.AppNames,
-				Workers:  h.Workers,
-				Causal:   h.Causal,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		},
-	})
-	if sess != nil {
-		if err := sess.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+	took := make([]time.Duration, len(figs))
+	for i, f := range figs {
+		section(f.Title)
+		t0 := time.Now() //simlint:allow wallclock host seconds per figure, stdout only
+		if err := f.Run(os.Stdout, f.Grid(*quick), *seed, of); err != nil {
+			fmt.Fprintf(os.Stderr, "fig %s: %v\n", f.ID, err)
 			os.Exit(1)
 		}
-		fmt.Println(sess.Summary())
-	}
-	if err := run.Spans.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "SPAN VIOLATION: %v\n", err)
-		os.Exit(1)
-	}
-	if err := run.Spans.Report(os.Stdout, run.AppNames); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := run.Causal.Report(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := of.EmitTrace(run.Events, obs.ExportConfig{
-		NumCPUs: run.Workers, AppNames: run.AppNames, Instants: true,
-		Flows: run.Causal.FlowJourneys(),
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := of.EmitCausal(run.Causal); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := of.EmitMetrics(run.Registry); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := of.EmitOccupancy(os.Stdout, run.Profiler, run.AppNames); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	// Delivery-substrate health: §3.2 losses (notifications that found an
-	// empty PIR) and interrupt edges absorbed by vector coalescing.
-	substrate := map[string]uint64{}
-	for _, s := range run.Registry.Snapshot() {
-		substrate[s.Name] = uint64(s.Value)
-	}
-	fmt.Printf("delivery: uintr delivered=%d dropped=%d rescans=%d, irqs coalesced=%d\n",
-		substrate["uintr.delivered"], substrate["uintr.dropped"],
-		substrate["uintr.rescans"], substrate["hw.irqs.coalesced"])
-	if of.DoctorOut != "" {
-		diag := doctor.Analyze(run.Events, run.Spans, doctor.Config{
-			TickPeriod: simtime.Second / bench.SkyloftTimerHz,
-			Cores:      run.Workers,
-		})
-		if err := of.EmitDoctor(diag); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	fmt.Println()
-
-	section("Fig 5: schbench wakeup latency")
-	p99, p50 := bench.Fig5(workers, reqs, *seed)
-	fmt.Print(p99.Render())
-	fmt.Print(p50.Render())
-	fmt.Println()
-
-	section("Fig 6: RR time-slice sweep")
-	slices := []simtime.Duration{25 * simtime.Microsecond, 50 * simtime.Microsecond,
-		100 * simtime.Microsecond, 200 * simtime.Microsecond, 400 * simtime.Microsecond}
-	fmt.Print(bench.Fig6(workers, slices, reqs, *seed).Render())
-	fmt.Println()
-
-	cap7 := bench.Capacity(bench.Fig7Workers, server.DispersiveClasses())
-	var loads7 []float64
-	for _, f := range loadFracs {
-		loads7 = append(loads7, f*cap7)
-	}
-	section("Fig 7a: dispersive workload")
-	fmt.Print(bench.Fig7a(loads7, 30*simtime.Microsecond, dur, *seed).Render())
-	fmt.Println()
-
-	section("Fig 7b/7c: dispersive + batch co-location")
-	lat, share := bench.Fig7bc(loads7, 30*simtime.Microsecond, dur, *seed)
-	fmt.Print(lat.Render())
-	fmt.Print(share.Render())
-	fmt.Println()
-
-	cap8a := bench.Capacity(bench.Fig8aWorkers, server.USRClasses())
-	var loads8a []float64
-	for _, f := range loadFracs {
-		if f <= 0.95 {
-			loads8a = append(loads8a, f*cap8a)
-		}
-	}
-	section("Fig 8a: Memcached USR")
-	fmt.Print(bench.Fig8a(loads8a, dur, *seed).Render())
-	fmt.Println()
-
-	cap8b := bench.Capacity(bench.Fig8bWorkers, server.RocksDBClasses())
-	var loads8b []float64
-	for _, f := range loadFracs {
-		if f <= 0.95 {
-			loads8b = append(loads8b, f*cap8b)
-		}
-	}
-	section("Fig 8b: RocksDB bimodal")
-	fmt.Print(bench.Fig8b(loads8b, dur, *seed).Render())
-	fmt.Println()
-
-	section("Table 6: preemption mechanisms (cycles)")
-	fmt.Printf("%-18s %10s %10s %10s\n", "mechanism", "send", "receive", "delivery")
-	for _, r := range bench.Table6() {
-		fmt.Printf("%-18s %10.0f %10.0f %10.0f\n", r.Name, r.Send, r.Receive, r.Delivery)
-	}
-	fmt.Println()
-
-	section("Table 7: threading operations (ns)")
-	fmt.Printf("%-10s %10s %10s %10s\n", "op", "pthread", "go(real)", "skyloft")
-	for _, r := range bench.Table7() {
-		fmt.Printf("%-10s %10.0f %10.0f %10.0f\n", r.Op, r.Pthread, r.Go, r.Skyloft)
-	}
-	fmt.Println()
-
-	section("Inter-application switch")
-	fmt.Printf("measured: %v (paper: 1,905 ns kernel path + uthread switch)\n\n", bench.InterAppSwitch())
-
-	section("Table 4: policy lines of code")
-	for _, r := range bench.Table4() {
-		fmt.Printf("%-14s %6d LOC\n", r.Policy, r.Lines)
+		took[i] = time.Since(t0) //simlint:allow wallclock host seconds per figure, stdout only
+		fmt.Println()
 	}
 
 	if *reportOut != "" {
 		section("Machine-readable report")
 		emitReport(*reportOut, *seed, *quick)
+		fmt.Println()
 	}
 
+	section("Host seconds per figure")
+	for i, f := range figs {
+		fmt.Printf("%-10s %8.3f  %s\n", f.ID, took[i].Seconds(), f.Title)
+	}
 	//simlint:allow wallclock final progress line; stdout only, never in reports
 	fmt.Printf("\ntotal wall-clock: %.1fs\n", time.Since(start).Seconds())
 }

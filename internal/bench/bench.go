@@ -1,9 +1,11 @@
 // Package bench is the experiment harness: one runner per table or figure
 // of the paper's evaluation (§5). Each runner assembles the machine, the
 // system under test, the workload, and the measurement window, and returns
-// the rows the paper plots. The cmd/ tools and the repository's Go
-// benchmarks are thin wrappers over this package; EXPERIMENTS.md records
-// paper-vs-measured for every experiment.
+// the rows the paper plots. The figure registry (figures.go) gives each
+// figure its grids, its printed tables and its report points;
+// cmd/skyloft-bench and the repository's Go benchmarks are thin wrappers
+// over this package; EXPERIMENTS.md records paper-vs-measured for every
+// experiment.
 package bench
 
 import (
@@ -57,29 +59,4 @@ type LoadPoint struct {
 	P999Slow   float64 // 99.9th percentile slowdown (dimensionless)
 	BEShare    float64 // best-effort CPU share, if applicable
 	Done       uint64
-}
-
-// MaxThroughputUnderSLO scans points (ascending offered load) and returns
-// the highest measured throughput whose p99 is within slo µs — the paper's
-// "maximum throughput" metric.
-func MaxThroughputUnderSLO(points []LoadPoint, sloP99Micros float64) float64 {
-	best := 0.0
-	for _, p := range points {
-		if p.P99 <= sloP99Micros && p.Throughput > best {
-			best = p.Throughput
-		}
-	}
-	return best
-}
-
-// MaxLoadUnderSlowdownSLO returns the highest measured throughput whose
-// p99.9 slowdown is within the target (Fig. 8b's metric, target 50×).
-func MaxLoadUnderSlowdownSLO(points []LoadPoint, slo float64) float64 {
-	best := 0.0
-	for _, p := range points {
-		if p.P999Slow > 0 && p.P999Slow <= slo && p.Throughput > best {
-			best = p.Throughput
-		}
-	}
-	return best
 }

@@ -188,20 +188,3 @@ func TestTable4CountsPolicies(t *testing.T) {
 		}
 	}
 }
-
-func TestMaxThroughputUnderSLO(t *testing.T) {
-	points := []LoadPoint{
-		{Offered: 100, Throughput: 100, P99: 10},
-		{Offered: 200, Throughput: 200, P99: 50},
-		{Offered: 300, Throughput: 290, P99: 500},
-	}
-	if got := MaxThroughputUnderSLO(points, 100); got != 200 {
-		t.Fatalf("MaxThroughputUnderSLO = %v", got)
-	}
-	if got := MaxLoadUnderSlowdownSLO([]LoadPoint{
-		{Throughput: 10, P999Slow: 5}, {Throughput: 20, P999Slow: 45},
-		{Throughput: 30, P999Slow: 80},
-	}, 50); got != 20 {
-		t.Fatalf("MaxLoadUnderSlowdownSLO = %v", got)
-	}
-}

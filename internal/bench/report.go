@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"skyloft/internal/apps/server"
-	"skyloft/internal/baseline/linuxsim"
 	"skyloft/internal/hw"
 	"skyloft/internal/obs"
 	"skyloft/internal/obs/causal"
@@ -48,10 +47,11 @@ type BenchReport struct {
 	DeterminismHash string `json:"determinism_hash"`
 }
 
-// BuildReport runs the report's experiment subset at the given seed. quick
-// shrinks the measurement windows (the Makefile gate uses quick). The
-// subset is chosen to cover every paper claim the repo reproduces with one
-// cheap, deterministic number each.
+// BuildReport runs the report's experiment subset at the given seed: each
+// registry entry's report points (Figure.Report), then the chaos and
+// oversubscription sentinels. quick shrinks the measurement windows (the
+// Makefile gate uses quick). The subset is chosen to cover every paper
+// claim the repo reproduces with one cheap, deterministic number each.
 func BuildReport(seed uint64, quick bool) *BenchReport {
 	r := &BenchReport{
 		Version:  BenchReportVersion,
@@ -61,110 +61,11 @@ func BuildReport(seed uint64, quick bool) *BenchReport {
 		Findings: map[string][]doctor.Finding{},
 	}
 
-	// Instrumented two-app run: span percentiles, doctor diagnosis,
-	// occupancy, and the determinism witness.
-	obsDur := 50 * simtime.Millisecond
-	if quick {
-		obsDur = 10 * simtime.Millisecond
-	}
-	run := ObservedRun(seed, obsDur, true)
-	diag := doctor.Analyze(run.Events, run.Spans, doctor.Config{
-		TickPeriod: simtime.Second / SkyloftTimerHz,
-		Cores:      run.Workers,
-	})
-	r.Metrics["observed.spans"] = float64(diag.Spans)
-	r.Metrics["observed.wake_p50_us"] = diag.WakeP50.Micros()
-	r.Metrics["observed.wake_p99_us"] = diag.WakeP99.Micros()
-	r.Metrics["observed.windows"] = float64(len(diag.Windows))
-	r.Findings["observed"] = append([]doctor.Finding{}, diag.Findings...)
-	r.Occupancy = run.Profiler.Snapshot()
-	r.DeterminismHash = fmt.Sprintf("%016x-%016x", run.Ring.Hash(), run.Spans.Hash())
-
-	// Fig. 5 at one oversubscribed worker count (32 workers on 24 cores —
-	// queueing is what exposes the tick): the headline wakeup-latency gap,
-	// plus the tick-bound verdict per scheduler — linux-cfs must show the
-	// CONFIG_HZ signature, the µs-scale Skyloft schedulers must not.
-	workers, reqs := 32, 50
-	if quick {
-		reqs = 15
-	}
-	fig5 := []SchbenchResult{
-		SchbenchLinux(linuxsim.RRDefault, workers, reqs, seed),
-		SchbenchLinux(linuxsim.CFSDefault, workers, reqs, seed),
-		SchbenchSkyloft(SkyloftRR, 0, workers, reqs, seed),
-		SchbenchSkyloft(SkyloftCFS, 0, workers, reqs, seed),
-	}
-	for _, res := range fig5 {
-		r.Metrics["fig5."+res.Scheduler+".p50_us"] = res.Hist.P50().Micros()
-		r.Metrics["fig5."+res.Scheduler+".p99_us"] = res.Hist.P99().Micros()
-		scope := "fig5." + res.Scheduler
-		if f, ok := doctor.TickBound(res.Hist); ok {
-			r.Findings[scope] = []doctor.Finding{f}
-		} else {
-			r.Findings[scope] = []doctor.Finding{}
+	for _, f := range figures {
+		if f.Report != nil {
+			f.Report(r, quick, seed)
 		}
 	}
-
-	// Fig. 6 endpoints: the RR-slice sweep's extremes.
-	for _, slice := range []simtime.Duration{25 * simtime.Microsecond, 400 * simtime.Microsecond} {
-		res := SchbenchSkyloft(SkyloftRR, slice, workers, reqs, seed)
-		r.Metrics[fmt.Sprintf("fig6.rr-%v.p99_us", slice)] = res.Hist.P99().Micros()
-	}
-
-	// Fig. 7a at one offered load (80% of capacity): p99 and throughput for
-	// Skyloft vs the simulated-Linux baseline.
-	dur := 100 * simtime.Millisecond
-	if quick {
-		dur = 30 * simtime.Millisecond
-	}
-	load := 0.8 * Capacity(Fig7Workers, server.DispersiveClasses())
-	for _, sys := range []SynthSystem{SynthSkyloft, SynthLinuxCFS} {
-		p := RunSynthetic(SynthConfig{System: sys, Rate: load, Duration: dur, Seed: seed})
-		r.Metrics["fig7a."+string(sys)+".p99_us"] = p.P99
-		r.Metrics["fig7a."+string(sys)+".throughput_rps"] = p.Throughput
-	}
-
-	// Event-core probe: the 48-core Fig. 7a quick point, bare and with each
-	// observer attached. engine.dispatched is the bare run's event count,
-	// the base both observer overheads below are measured against.
-	baseProbe, liveProbe, causalProbe := engineProbe(seed)
-	r.Metrics["engine.dispatched"] = float64(baseProbe.dispatched)
-	// Live-bus cost on the same probe: extra dispatched events (boundary
-	// ticks) as a percentage of the base run. The bus is attach-only, so
-	// this is its *entire* modeled footprint; the 5%% acceptance bound is
-	// enforced loudly here and regression-gated via benchdiff.
-	overheadPct := 100 * float64(liveProbe.dispatched-baseProbe.dispatched) /
-		float64(baseProbe.dispatched)
-	if overheadPct > 5 {
-		panic(fmt.Sprintf("bench: live bus overhead %.2f%% exceeds the 5%% bound", overheadPct))
-	}
-	r.Metrics["live.overhead_pct"] = overheadPct
-	r.Metrics["live.windows"] = liveProbe.liveWindows
-	// Causal tracer cost on the same probe: the tracer schedules no clock
-	// events at all (ring tap + datapath callbacks only), so its modeled
-	// overhead must be exactly zero — any dispatched-event delta means the
-	// tracer perturbed the simulation, a correctness bug. The 0.5%% ceiling
-	// is a loud tripwire, not an allowance.
-	causalOverheadPct := 100 * float64(causalProbe.dispatched-baseProbe.dispatched) /
-		float64(baseProbe.dispatched)
-	if causalOverheadPct > 0.5 {
-		panic(fmt.Sprintf("bench: causal tracer overhead %.2f%% exceeds the 0.5%% bound", causalOverheadPct))
-	}
-	r.Metrics["causal.overhead_pct"] = causalOverheadPct
-	r.Metrics["causal.exemplar_coverage"] = causalProbe.causalCoverage
-	r.Metrics["causal.exemplars"] = causalProbe.causalExemplars
-
-	// Table 6: delivery cost per preemption mechanism (cycles).
-	for _, row := range Table6() {
-		r.Metrics["table6."+row.Name+".delivery_cycles"] = row.Delivery
-	}
-	// Table 7: simulated columns only — the Go column is measured on the
-	// host's real runtime and would break byte-determinism.
-	for _, row := range Table7() {
-		r.Metrics["table7."+row.Op+".pthread_ns"] = row.Pthread
-		r.Metrics["table7."+row.Op+".skyloft_ns"] = row.Skyloft
-	}
-	r.Metrics["micro.inter_app_switch_ns"] = float64(InterAppSwitch())
 
 	// Chaos sentinel: one preset plan per delivery path attacked, at the
 	// gate seed. Pins that fault injection still fires, the hardening layer
@@ -217,6 +118,39 @@ func BuildReport(seed uint64, quick bool) *BenchReport {
 	}
 
 	return r
+}
+
+// reportEngineProbe adds the event-core probe: the 48-core Fig. 7a quick
+// point, bare and with each observer attached. engine.dispatched is the
+// bare run's event count, the base both observer overheads below are
+// measured against.
+func reportEngineProbe(r *BenchReport, seed uint64) {
+	baseProbe, liveProbe, causalProbe := engineProbe(seed)
+	r.Metrics["engine.dispatched"] = float64(baseProbe.dispatched)
+	// Live-bus cost on the same probe: extra dispatched events (boundary
+	// ticks) as a percentage of the base run. The bus is attach-only, so
+	// this is its *entire* modeled footprint; the 5%% acceptance bound is
+	// enforced loudly here and regression-gated via benchdiff.
+	overheadPct := 100 * float64(liveProbe.dispatched-baseProbe.dispatched) /
+		float64(baseProbe.dispatched)
+	if overheadPct > 5 {
+		panic(fmt.Sprintf("bench: live bus overhead %.2f%% exceeds the 5%% bound", overheadPct))
+	}
+	r.Metrics["live.overhead_pct"] = overheadPct
+	r.Metrics["live.windows"] = liveProbe.liveWindows
+	// Causal tracer cost on the same probe: the tracer schedules no clock
+	// events at all (ring tap + datapath callbacks only), so its modeled
+	// overhead must be exactly zero — any dispatched-event delta means the
+	// tracer perturbed the simulation, a correctness bug. The 0.5%% ceiling
+	// is a loud tripwire, not an allowance.
+	causalOverheadPct := 100 * float64(causalProbe.dispatched-baseProbe.dispatched) /
+		float64(baseProbe.dispatched)
+	if causalOverheadPct > 0.5 {
+		panic(fmt.Sprintf("bench: causal tracer overhead %.2f%% exceeds the 0.5%% bound", causalOverheadPct))
+	}
+	r.Metrics["causal.overhead_pct"] = causalOverheadPct
+	r.Metrics["causal.exemplar_coverage"] = causalProbe.causalCoverage
+	r.Metrics["causal.exemplars"] = causalProbe.causalExemplars
 }
 
 // engineProbeResult is one probe run's measurement.

@@ -10,11 +10,12 @@ import (
 	"skyloft/internal/trace"
 )
 
-// Flags is the standard observability flag set shared by the cmds
-// (skyloft-trace, skyloft-bench, schbench): -trace-out, -metrics-out,
-// -doctor-out, -occupancy, plus the live-telemetry trio -live-out,
-// -live-window, -live-http and the flight recorder's -flight-dir. Bind
-// before flag.Parse. Every *-out flag accepts "-" for stdout.
+// Flags is the standard observability flag set shared by skyloft-trace
+// and skyloft-bench (where it applies to the observed run):
+// -trace-out, -metrics-out, -doctor-out, -occupancy, -causal-out, plus the
+// live-telemetry trio -live-out, -live-window, -live-http and the flight
+// recorder's -flight-dir. Bind before flag.Parse. Every *-out flag accepts
+// "-" for stdout.
 type Flags struct {
 	TraceOut   string
 	MetricsOut string

@@ -124,24 +124,3 @@ func (t *Table) Render() string {
 	}
 	return out
 }
-
-// CSV returns the table as comma-separated values with a header row.
-func (t *Table) CSV() string {
-	out := t.XLabel
-	for _, c := range t.Columns {
-		out += "," + c
-	}
-	out += "\n"
-	for _, r := range t.Rows {
-		out += fmt.Sprintf("%g", r.X)
-		for _, c := range t.Columns {
-			if v, ok := r.Values[c]; ok {
-				out += fmt.Sprintf(",%g", v)
-			} else {
-				out += ","
-			}
-		}
-		out += "\n"
-	}
-	return out
-}

@@ -337,10 +337,6 @@ func TestTableRender(t *testing.T) {
 	if idx1, idx2 := indexOf(out, "\n1"), indexOf(out, "\n2"); idx1 > idx2 {
 		t.Fatalf("rows not sorted by x:\n%s", out)
 	}
-	csv := tbl.CSV()
-	if csv == "" {
-		t.Fatal("empty CSV")
-	}
 }
 
 func indexOf(s, sub string) int {
