@@ -4,11 +4,12 @@ GO ?= go
 # merging, in order: `vet` + `build`, then `lint` (simlint determinism
 # checks + gofmt — static, so it runs before the expensive dynamic gates),
 # the full test suite under the race detector (the parallel sweep runner
-# makes -race meaningful), a short benchmark smoke to catch accidental
-# allocation regressions in the event core, the observability smoke, and
-# the benchmark regression gate against the committed BENCH_skyloft.json.
+# makes -race meaningful), a short fuzz smoke, a short benchmark smoke to
+# catch accidental allocation regressions in the event core, the
+# observability smoke, and the benchmark regression gate against the
+# committed BENCH_skyloft.json.
 .PHONY: check
-check: vet build lint race bench-smoke trace-smoke live-smoke causal-smoke bench-gate chaos oversub
+check: vet build lint race fuzz-smoke bench-smoke trace-smoke live-smoke causal-smoke bench-gate chaos oversub
 
 .PHONY: vet
 vet:
@@ -47,13 +48,25 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Fuzz smoke: a short run of each native fuzz target beyond its checked-in
+# seed corpus (testdata/fuzz/, which plain `go test` already replays).
+# FuzzClock drives the timer-wheel Clock and the reference HeapClock from
+# the same input and fails on the first dispatch divergence. Each new fuzz
+# target appends its own line.
+.PHONY: fuzz-smoke
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzClock$$' -fuzztime 10s ./internal/simtime/
+
 # A handful of iterations only — this is a smoke test that the benchmarks
-# still compile and run, not a measurement; the LSM pair's -benchmem line
-# makes an accidental per-SCAN sort or map visible, and the proc pair's
-# (one Resume→Ask round trip, one pooled thread life) a per-switch
-# allocation; the thread-per-request window (~100 NIC requests through
-# core + worksteal + server) and the runqueue cycle must show 0 allocs/op,
-# so a reintroduced per-request or per-enqueue allocation is visible here.
+# still compile and run, not a measurement; the wheel clock's two
+# benchmarks (a bare Step loop, and the same load through 1 ms Run windows
+# as the engines drive it) must show 0 allocs/op beside the HeapClock
+# reference; the LSM pair's -benchmem line makes an accidental per-SCAN
+# sort or map visible, and the proc pair's (one Resume→Ask round trip,
+# one pooled thread life) a per-switch allocation; the thread-per-request
+# window (~100 NIC requests through core + worksteal + server) and the
+# runqueue cycle must show 0 allocs/op, so a reintroduced per-request or
+# per-enqueue allocation is visible here.
 # Real numbers: see EXPERIMENTS.md ("Event-core performance") and
 # `go test -bench . -benchmem`.
 .PHONY: bench-smoke

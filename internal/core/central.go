@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"skyloft/internal/det"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
@@ -72,10 +74,15 @@ func (e *Engine) dispatchLoop() {
 	e.pokeDispatcher()
 }
 
+// idleWorker returns the lowest-index idle worker not granted to a
+// best-effort app, or nil. Per-CPU mode never grants, so there it is the
+// lowest idle core.
 func (e *Engine) idleWorker() *coreCtx {
-	for _, c := range e.cores {
-		if c.idle && !c.beMode {
-			return c
+	for w, word := range e.idleSet {
+		for ; word != 0; word &= word - 1 {
+			if c := e.cores[w<<6+bits.TrailingZeros64(word)]; !c.beMode {
+				return c
+			}
 		}
 	}
 	return nil
@@ -85,7 +92,7 @@ func (e *Engine) idleWorker() *coreCtx {
 func (e *Engine) assign(w *coreCtx, t *sched.Thread) {
 	w.markProgress(e.m.Now())
 	e.qDown()
-	w.idle = false
+	w.setIdle(false)
 	w.assignSeq++
 	seq := w.assignSeq
 	// Best-effort grants run until the congestion allocator reclaims the
@@ -206,7 +213,7 @@ func (e *Engine) workerBecameIdle(c *coreCtx) {
 	}
 	c.setCurr(nil)
 	c.assignSeq++ // any in-flight preemption for the old assignment is stale
-	c.idle = true
+	c.setIdle(true)
 	e.pokeDispatcher()
 }
 

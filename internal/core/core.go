@@ -145,6 +145,7 @@ type Engine struct {
 
 	cores   []*coreCtx // worker cores
 	special *coreCtx   // dispatcher (Centralized) or utimer core, if any
+	idleSet []uint64   // bit i set iff cores[i].idle; written only by setIdle
 
 	mod *kmod.Module
 	seg *shm.Segment
@@ -339,7 +340,7 @@ type coreCtx struct {
 	curr      *sched.Thread
 	lastRanID int // ID of the last task that ran here (0 = none)
 	currApp   int
-	idle      bool
+	idle      bool // written only by setIdle
 
 	// epoch increments whenever core ownership (curr) changes; deferred
 	// callbacks capture it and bail if ownership moved on, which guards
@@ -381,6 +382,18 @@ type coreCtx struct {
 	kickCont    func()
 	runCont     func() // StartRun completion (one segment per core)
 	runTask     *sched.Thread
+}
+
+// setIdle writes the idle flag and its bit in the engine's idle set, so
+// the dispatcher finds the lowest idle worker without walking every core.
+func (c *coreCtx) setIdle(idle bool) {
+	w, bit := c.idx>>6, uint64(1)<<(c.idx&63)
+	if idle {
+		c.e.idleSet[w] |= bit
+	} else {
+		c.e.idleSet[w] &^= bit
+	}
+	c.idle = idle
 }
 
 // setCurr changes core ownership, invalidating deferred callbacks from the
@@ -428,8 +441,10 @@ func New(cfg Config) *Engine {
 		})
 	}
 
+	e.idleSet = make([]uint64, (len(workerCPUs)+63)/64)
 	for i, id := range workerCPUs {
-		c := &coreCtx{e: e, idx: i, hwc: cfg.Machine.Cores[id], idle: true, currApp: -1, dispUITT: -1}
+		c := &coreCtx{e: e, idx: i, hwc: cfg.Machine.Cores[id], currApp: -1, dispUITT: -1}
+		c.setIdle(true)
 		c.recv = uintrsim.NewReceiver(c.hwc, e.cost)
 		c.send = uintrsim.NewSender(c.hwc, e.cost)
 		cc := c
@@ -452,7 +467,7 @@ func New(cfg Config) *Engine {
 			if cc.curr != nil {
 				return // another path already gave the core work
 			}
-			cc.idle = true // scheduleNext clears if it finds work
+			cc.setIdle(true) // scheduleNext clears if it finds work
 			e.scheduleNext(cc)
 		}
 		e.cores = append(e.cores, c)
@@ -740,11 +755,8 @@ func (e *Engine) submit(t *sched.Thread, flags EnqueueFlags) {
 		return
 	}
 	// The home core is busy: an idle core can steal via sched_balance.
-	for _, o := range e.cores {
-		if o.idle {
-			e.kick(o)
-			return
-		}
+	if o := e.idleWorker(); o != nil {
+		e.kick(o)
 	}
 }
 
@@ -765,7 +777,7 @@ func (e *Engine) kick(c *coreCtx) {
 	if !c.idle {
 		return
 	}
-	c.idle = false
+	c.setIdle(false)
 	c.hwc.Exec(e.ec.Pick+e.ec.UnparkCost, c.kickCont)
 }
 
@@ -788,7 +800,7 @@ func (e *Engine) scheduleNext(c *coreCtx) {
 			c.deleg.Disarm()
 		}
 		c.setCurr(nil)
-		c.idle = true
+		c.setIdle(true)
 		return
 	}
 	e.startTask(c, t)
@@ -799,7 +811,7 @@ func (e *Engine) scheduleNext(c *coreCtx) {
 // (Figure 4's B→C path).
 func (e *Engine) startTask(c *coreCtx, t *sched.Thread) {
 	e.qDown()
-	c.idle = false
+	c.setIdle(false)
 	c.setCurr(t)
 	ep := c.epoch
 	t.State = sched.Running

@@ -279,6 +279,44 @@ func (p *testCentral) OldestWait(now simtime.Time) simtime.Duration {
 }
 func (p *testCentral) Quantum() simtime.Duration { return p.quantum }
 
+// The idle set spans one uint64 word per 64 workers; no figure runs that
+// many, so this drives idleWorker across the word boundary directly.
+func TestIdleWorkerAcrossWordBoundary(t *testing.T) {
+	e := newEngine(t, Config{
+		Machine: hw.NewMachine(hw.Config{Cores: 72, CoresPerSocket: 36, Cost: cycles.Default()}),
+		CPUs:    cpus(70), Mode: Centralized,
+		Central: &testCentral{}, TimerMode: TimerNone,
+	})
+	if len(e.cores) <= 64 {
+		t.Fatalf("%d workers, want more than 64", len(e.cores))
+	}
+	want := func(step string, idx int) {
+		t.Helper()
+		got := -1
+		if w := e.idleWorker(); w != nil {
+			got = w.idx
+		}
+		if got != idx {
+			t.Fatalf("%s: idleWorker = %d, want %d", step, got, idx)
+		}
+	}
+	for _, c := range e.cores {
+		c.setIdle(false)
+	}
+	want("none idle", -1)
+	e.cores[64].setIdle(true)
+	want("only idle bit in the second word", 64)
+	e.cores[63].setIdle(true)
+	e.cores[5].setIdle(true)
+	want("lowest index", 5)
+	e.cores[5].beMode = true
+	want("lower idle worker granted to BE", 63)
+	e.cores[63].setIdle(false)
+	want("BE worker and one in the second word", 64)
+	e.cores[64].setIdle(false)
+	want("only a BE worker idle", -1)
+}
+
 func TestCentralizedPreemptionByUserIPI(t *testing.T) {
 	e := newEngine(t, Config{
 		CPUs: cpus(2), Mode: Centralized,

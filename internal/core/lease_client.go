@@ -137,7 +137,7 @@ func (e *Engine) LendWorker(i, borrowerApp, tid int, h func(hw.IRQ)) (simtime.Du
 	}
 	c.extLeased = true
 	c.extIRQ = h
-	c.idle = false
+	c.setIdle(false)
 	c.setCurr(nil) // bump epoch: stale engine callbacks must not touch a lent core
 	c.hwc.Exec(d, nil)
 	return d, true

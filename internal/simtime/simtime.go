@@ -129,7 +129,7 @@ type Clock struct {
 	free  uint32 // freelist head (0 = empty)
 	nFree int
 
-	baseTick int64 // wheel window start, in granBits ticks; never decreases
+	baseTick int64 // wheel window start, in granBits ticks; never decreases, <= tick(now) (see step)
 	nWheel   int
 	slots    [wheelSlots]uint32 // per-slot circular list head (0 = empty)
 	bitmap   [wheelWords]uint64 // occupancy, one bit per slot
@@ -241,14 +241,67 @@ func (c *Clock) Cancel(e Event) bool {
 
 // Step dispatches the earliest pending event, advancing time to its
 // deadline. It reports false when the queue is empty.
-func (c *Clock) Step() bool {
-	id := c.takeMin()
-	if id == 0 {
+func (c *Clock) Step() bool { return c.step(Infinity) }
+
+// SetObserver installs fn to run after every dispatched event (nil removes
+// it). The observer must not schedule events or mutate simulation state —
+// it exists for after-each-event assertions (faults.InvariantChecker) and
+// must leave a run bit-identical to one without it.
+func (c *Clock) SetObserver(fn func()) { c.observer = fn }
+
+// Run dispatches events until the queue drains or virtual time would exceed
+// horizon. It returns the time of the last dispatched event.
+func (c *Clock) Run(horizon Time) Time {
+	for c.step(horizon) {
+	}
+	return c.now
+}
+
+// RunUntil dispatches events while pred returns false, stopping at horizon.
+// It reports whether pred became true.
+func (c *Clock) RunUntil(horizon Time, pred func() bool) bool {
+	for !pred() {
+		if !c.step(horizon) {
+			return false
+		}
+	}
+	return true
+}
+
+// step dispatches the earliest pending event if its deadline is at or
+// before horizon, reporting whether it did. Step, Run and RunUntil all go
+// through it, so each dispatch costs one wheel scan.
+//
+// Two invariants hold between events. First, baseTick <= tick(now), so
+// every deadline At accepts (at >= now) lies at or after the scan start.
+// The window therefore moves only on a hit, to the dispatched event's
+// tick. Moving it on a miss would let a later At earlier than the missed
+// head land behind the scan start and dispatch out of order; the same
+// holds for the wheel-drained jump to the overflow root. Second, every
+// overflow event lies beyond the window, so the wheel head is the global
+// minimum; migrate restores this whenever the window moves.
+func (c *Clock) step(horizon Time) bool {
+	if c.nWheel == 0 {
+		if len(c.heap) == 0 || c.nodes[c.heap[0]].at > horizon {
+			return false
+		}
+		// Wheel drained: jump the window forward to the overflow minimum.
+		c.baseTick = int64(c.nodes[c.heap[0]].at) >> granBits
+		c.migrate()
+	}
+	s, d := c.scan()
+	id := c.slots[s]
+	n := &c.nodes[id]
+	if n.at > horizon {
 		return false
 	}
-	n := &c.nodes[id]
 	if n.at < c.now {
 		panic("simtime: queue yielded event in the past")
+	}
+	c.wheelRemove(id)
+	if d > 0 {
+		c.baseTick += int64(d)
+		c.migrate()
 	}
 	c.now = n.at
 	c.nEvent++
@@ -261,40 +314,9 @@ func (c *Clock) Step() bool {
 	return true
 }
 
-// SetObserver installs fn to run after every dispatched event (nil removes
-// it). The observer must not schedule events or mutate simulation state —
-// it exists for after-each-event assertions (faults.InvariantChecker) and
-// must leave a run bit-identical to one without it.
-func (c *Clock) SetObserver(fn func()) { c.observer = fn }
-
-// Run dispatches events until the queue drains or virtual time would exceed
-// horizon. It returns the time of the last dispatched event.
-func (c *Clock) Run(horizon Time) Time {
-	for {
-		t, ok := c.peekTime()
-		if !ok || t > horizon {
-			return c.now
-		}
-		c.Step()
-	}
-}
-
-// RunUntil dispatches events while pred returns false, stopping at horizon.
-// It reports whether pred became true.
-func (c *Clock) RunUntil(horizon Time, pred func() bool) bool {
-	for !pred() {
-		t, ok := c.peekTime()
-		if !ok || t > horizon {
-			return false
-		}
-		c.Step()
-	}
-	return true
-}
-
 // migrate moves overflow events that now fall inside the wheel window into
-// the wheel. Called whenever baseTick may have advanced. Heap pops come out
-// in (at, seq) order, so in-slot insertion stays O(1) amortised.
+// the wheel. Heap pops come out in (at, seq) order, so in-slot insertion
+// stays O(1) amortised.
 func (c *Clock) migrate() {
 	for len(c.heap) > 0 {
 		id := c.heap[0]
@@ -306,44 +328,6 @@ func (c *Clock) migrate() {
 	}
 }
 
-// takeMin removes and returns the globally earliest pending event (0 when
-// none), advancing the wheel window to its slot.
-func (c *Clock) takeMin() uint32 {
-	if c.nWheel == 0 {
-		if len(c.heap) == 0 {
-			return 0
-		}
-		// Wheel drained: jump the window forward to the overflow minimum.
-		c.baseTick = int64(c.nodes[c.heap[0]].at) >> granBits
-	}
-	c.migrate()
-	s, d := c.scan()
-	c.baseTick += int64(d)
-	id := c.slots[s]
-	c.wheelRemove(id)
-	return id
-}
-
-// peekTime reports the deadline of the earliest pending event without
-// dispatching it. The overflow root is compared directly because events
-// already inside the window may not have migrated yet.
-func (c *Clock) peekTime() (Time, bool) {
-	var best Time
-	ok := false
-	if c.nWheel > 0 {
-		s, _ := c.scan()
-		best = c.nodes[c.slots[s]].at
-		ok = true
-	}
-	if len(c.heap) > 0 {
-		if t := c.nodes[c.heap[0]].at; !ok || t < best {
-			best = t
-			ok = true
-		}
-	}
-	return best, ok
-}
-
 // scan finds the first occupied wheel slot at or after the window base,
 // returning the slot index and its distance in ticks from baseTick. Must
 // only be called with nWheel > 0.
@@ -351,17 +335,15 @@ func (c *Clock) scan() (slot uint32, dist int) {
 	start := uint32(c.baseTick) & wheelMask
 	w := start >> 6
 	word := c.bitmap[w] >> (start & 63) << (start & 63) // drop bits below start
-	for i := uint32(0); ; i++ {
-		if word != 0 {
-			s := w<<6 + uint32(bits.TrailingZeros64(word))
-			return s, int((s - start + wheelSlots) & wheelMask)
-		}
-		if i >= wheelWords {
+	for i := 0; word == 0; i++ {
+		if i == wheelWords {
 			panic("simtime: wheel count positive but bitmap empty")
 		}
 		w = (w + 1) & (wheelWords - 1)
 		word = c.bitmap[w]
 	}
+	s := w<<6 + uint32(bits.TrailingZeros64(word))
+	return s, int((s - start) & wheelMask)
 }
 
 // wheelAdd links a pending node into its slot's circular list, keeping the

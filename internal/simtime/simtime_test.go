@@ -156,6 +156,38 @@ func TestRunHorizon(t *testing.T) {
 	if c.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", c.Pending())
 	}
+	for _, m := range missCases {
+		checkMissKeepsWindow(t, m, func(c *Clock, horizon Time) { c.Run(horizon) })
+	}
+}
+
+// missCases stop a run short of the earliest event, then schedule one due
+// before it: once with that event at the wheel head, once as the overflow
+// root of an empty wheel. A run that moved the wheel window on the miss
+// would dispatch the later event first.
+type missCase struct{ head, horizon, early Time }
+
+var missCases = []missCase{
+	{100 * Microsecond, 10, 50},
+	{10 * Millisecond, Millisecond, 2 * Millisecond},
+}
+
+func checkMissKeepsWindow(t *testing.T, m missCase, run func(*Clock, Time)) {
+	t.Helper()
+	c := NewClock()
+	var fired []Time
+	record := func() { fired = append(fired, c.Now()) }
+	c.At(m.head, record)
+	run(c, m.horizon)
+	if len(fired) != 0 || c.Now() != 0 {
+		t.Fatalf("head %v: run to %v fired %v, now %v; want nothing, now 0", m.head, m.horizon, fired, c.Now())
+	}
+	c.At(m.early, record)
+	for c.Step() {
+	}
+	if len(fired) != 2 || fired[0] != m.early || fired[1] != m.head {
+		t.Fatalf("head %v missed at %v, then At(%v): fired %v, want [%v %v]", m.head, m.horizon, m.early, fired, m.early, m.head)
+	}
 }
 
 func TestRunUntil(t *testing.T) {
@@ -170,6 +202,13 @@ func TestRunUntil(t *testing.T) {
 	}
 	if c.RunUntil(5, func() bool { return count >= 100 }) {
 		t.Fatal("RunUntil reported success past horizon")
+	}
+	for _, m := range missCases {
+		checkMissKeepsWindow(t, m, func(c *Clock, horizon Time) {
+			if c.RunUntil(horizon, func() bool { return false }) {
+				t.Fatal("RunUntil reported success with nothing due")
+			}
+		})
 	}
 }
 
