@@ -9,7 +9,7 @@ GO ?= go
 # observability smoke, and the benchmark regression gate against the
 # committed BENCH_skyloft.json.
 .PHONY: check
-check: vet build lint race fuzz-smoke bench-smoke trace-smoke live-smoke causal-smoke bench-gate chaos oversub
+check: vet build lint race fuzz-smoke bench-smoke obs-smoke bench-gate chaos oversub
 
 .PHONY: vet
 vet:
@@ -78,72 +78,57 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkThreadPerRequest' -benchtime 100x -benchmem ./internal/apps/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkDeque' -benchtime 100x -benchmem ./internal/policy/
 
-# End-to-end observability smoke: run skyloft-trace with all four
-# observability outputs, verify the Perfetto JSON parses and has a slice
-# track per simulated CPU (the workload pins CPUs {0,1}), check the
-# occupancy report covers both cores, and check the sched-doctor diagnosis
-# is well-formed JSON with the expected sections.
-.PHONY: trace-smoke
-trace-smoke:
+# End-to-end observability smoke (DESIGN.md §7, §8, §12, §13): one quick
+# observed run writes every surface, and each is checked —
+# - the Perfetto trace has a slice track per simulated CPU and every causal
+#   flow point lands inside a CPU slice (tracecheck -flows), and the
+#   metrics snapshot passes metricscheck;
+# - the printed report has an occupancy line per CPU, the span summary and
+#   the causal exemplar table;
+# - the sched-doctor JSON has its windows, findings and attribution;
+# - cmd/skyloft-top renders a frame from the live NDJSON stream, and
+#   cmd/skyloft-explain renders the worst exemplar's critical path;
+# - a second identical run writes a byte-identical NDJSON stream (the
+#   published stream is a pure function of the seed).
+# Then the flight probe on the straggler-core fault plan must dump a valid
+# post-mortem bundle — the trace slice passes tracecheck with fault
+# instants, the metrics snapshot passes metricscheck, and the manifest names
+# the live starvation finding that triggered the dump — and skyloft-trace's
+# own -trace-out export must pass tracecheck on its two pinned CPUs.
+.PHONY: obs-smoke
+obs-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
-	$(GO) run ./cmd/skyloft-trace -dur 2ms -n 0 \
-		-trace-out $$tmp/trace.json -metrics-out $$tmp/metrics.json \
-		-doctor-out $$tmp/doctor.json -occupancy \
-		> $$tmp/out.txt && \
-	$(GO) run ./cmd/tracecheck -cpus 2 $$tmp/trace.json && \
-	$(GO) run ./cmd/metricscheck $$tmp/metrics.json && \
-	grep -q 'cpu 0' $$tmp/out.txt && grep -q 'cpu 1' $$tmp/out.txt && \
-	grep -q 'spans:' $$tmp/out.txt && \
-	grep -q '"windows"' $$tmp/doctor.json && \
-	grep -q '"findings"' $$tmp/doctor.json && \
-	echo "trace-smoke OK"
-
-# Live-telemetry smoke (DESIGN.md §12): stream a short run's snapshots over
-# NDJSON twice and require the printed stream hash to be identical (the
-# published stream is a pure function of the seed); render the stream once
-# through cmd/skyloft-top; then run the flight probe
-# on the straggler-core fault plan and validate the recorder's post-mortem
-# bundle — the trace slice passes cmd/tracecheck with fault instants, the
-# metrics snapshot passes cmd/metricscheck, and the manifest names the live
-# starvation finding that triggered the dump.
-.PHONY: live-smoke
-live-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
-	$(GO) run ./cmd/skyloft-trace -dur 2ms -n 0 \
-		-live-out $$tmp/first.ndjson > $$tmp/first.txt && \
-	$(GO) run ./cmd/skyloft-trace -dur 2ms -n 0 \
-		-live-out $$tmp/replay.ndjson > $$tmp/replay.txt && \
-	grep -o 'stream [0-9a-f]*' $$tmp/first.txt > $$tmp/h-first && \
-	grep -o 'stream [0-9a-f]*' $$tmp/replay.txt > $$tmp/h-replay && \
-	test -s $$tmp/h-first && cmp $$tmp/h-first $$tmp/h-replay && \
-	$(GO) run ./cmd/skyloft-top -in $$tmp/first.ndjson -once \
-		| grep -q 'window #' && \
+	for run in first replay; do \
+		mkdir $$tmp/$$run && \
+		$(GO) run ./cmd/skyloft-bench -fig observed -quick -seed 1 \
+			-trace-out $$tmp/$$run/trace.json -metrics-out $$tmp/$$run/metrics.json \
+			-doctor-out $$tmp/$$run/doctor.json -occupancy \
+			-causal-out $$tmp/$$run/causal.json -live-out $$tmp/$$run/live.ndjson \
+			> $$tmp/$$run/out.txt || exit 1; \
+	done && \
+	cmp $$tmp/first/live.ndjson $$tmp/replay/live.ndjson && \
+	o=$$tmp/first && \
+	$(GO) run ./cmd/tracecheck -cpus 4 -flows 1 $$o/trace.json && \
+	$(GO) run ./cmd/metricscheck $$o/metrics.json && \
+	for cpu in 0 1 2 3; do grep -q "cpu $$cpu " $$o/out.txt || exit 1; done && \
+	grep -q 'spans:' $$o/out.txt && \
+	grep -q 'causal: .* journeys traced' $$o/out.txt && \
+	grep -q '"windows"' $$o/doctor.json && \
+	grep -q '"findings"' $$o/doctor.json && \
+	grep -q '"attribution"' $$o/doctor.json && \
+	$(GO) run ./cmd/skyloft-top -in $$o/live.ndjson -once | grep -q 'window #' && \
+	$(GO) run ./cmd/skyloft-explain $$o/causal.json > $$o/explain.txt && \
+	grep -q 'critical path:' $$o/explain.txt && \
+	grep -q 'reply' $$o/explain.txt && \
+	$(GO) run ./cmd/skyloft-explain -list $$o/causal.json | grep -q 'sojourn=' && \
 	$(GO) run ./cmd/skyloft-bench -chaos straggler-core -seed 1 \
 		-flight-dir $$tmp/flight > $$tmp/flight.txt && \
 	$(GO) run ./cmd/tracecheck -cpus 4 -faults 1 $$tmp/flight/trace.json && \
 	$(GO) run ./cmd/metricscheck $$tmp/flight/metrics.json && \
 	grep -q '"reason": "live finding: starvation"' $$tmp/flight/manifest.json && \
-	echo "live-smoke OK"
-
-# Causal-tracing smoke (DESIGN.md §13): run skyloft-bench's quick observed
-# run (the per-request causal tracer is always attached), validate the
-# Perfetto export's flow arrows bind every journey point inside a CPU slice
-# (tracecheck -flows), require the printed exemplar table, and render the
-# worst exemplar's annotated timeline with cmd/skyloft-explain — the grep
-# pins the per-edge critical-path line that must sum to the sojourn.
-.PHONY: causal-smoke
-causal-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
-	$(GO) run ./cmd/skyloft-bench -fig observed -quick -seed 1 \
-		-causal-out $$tmp/causal.json -trace-out $$tmp/trace.json \
-		> $$tmp/out.txt && \
-	grep -q 'causal: .* journeys traced' $$tmp/out.txt && \
-	$(GO) run ./cmd/tracecheck -cpus 4 -flows 1 $$tmp/trace.json && \
-	$(GO) run ./cmd/skyloft-explain $$tmp/causal.json > $$tmp/explain.txt && \
-	grep -q 'critical path:' $$tmp/explain.txt && \
-	grep -q 'reply' $$tmp/explain.txt && \
-	$(GO) run ./cmd/skyloft-explain -list $$tmp/causal.json | grep -q 'sojourn=' && \
-	echo "causal-smoke OK"
+	$(GO) run ./cmd/skyloft-trace -dur 2ms -n 0 -trace-out $$tmp/trace.json > /dev/null && \
+	$(GO) run ./cmd/tracecheck -cpus 2 $$tmp/trace.json && \
+	echo "obs-smoke OK"
 
 # Regenerate the committed machine-readable benchmark report (quick sweep,
 # seed 1 — the configuration bench-gate compares against). Run this, review

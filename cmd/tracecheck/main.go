@@ -5,8 +5,7 @@
 // -faults N it additionally requires N validated fault-instant events on
 // the CPU tracks (chaos exports); with -flows N it requires N validated
 // causal flow chains whose every point binds inside a slice (causal
-// exports). It is the machine half of `make trace-smoke`, `make chaos`,
-// and `make causal-smoke`.
+// exports). It is the machine half of `make obs-smoke` and `make chaos`.
 //
 // Usage:
 //

@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"skyloft/internal/netsim"
+	"skyloft/internal/obs"
 	"skyloft/internal/simtime"
 	"skyloft/internal/trace"
 )
@@ -146,15 +147,6 @@ type journey struct {
 	hops []Hop
 }
 
-// coreState is the tracer's shadow of per-core occupancy, replaying the
-// doctor's classification rule: what freed a core last decides how the next
-// dispatch's wait on it is attributed.
-type coreState struct {
-	lastFreeAt   simtime.Time
-	lastFreeKind trace.Kind
-	everOccupied bool
-}
-
 // Tracer assembles request journeys from the trace-ring tap and the
 // datapath callbacks. Not safe for concurrent use; the event core executes
 // all callbacks serially.
@@ -173,7 +165,7 @@ type Tracer struct {
 	byDirect map[uint64]*journey // loadgen injection seq -> journey
 	byTask   map[int]*journey    // bound journeys by thread ID
 	onCPU    map[int]bool        // tasks currently dispatched
-	cores    map[int]*coreState
+	waits    obs.WaitClassifier  // per-core occupancy, shared with the doctor
 
 	top []*Exemplar // sorted: worst sojourn first, ID ascending on ties
 
@@ -193,7 +185,6 @@ func New(cfg Config) *Tracer {
 		byDirect: make(map[uint64]*journey),
 		byTask:   make(map[int]*journey),
 		onCPU:    make(map[int]bool),
-		cores:    make(map[int]*coreState),
 	}
 }
 
@@ -234,15 +225,6 @@ func (t *Tracer) Coverage() float64 {
 		return 0
 	}
 	return float64(t.completed) / float64(t.started)
-}
-
-func (t *Tracer) core(cpu int) *coreState {
-	cs := t.cores[cpu]
-	if cs == nil {
-		cs = &coreState{}
-		t.cores[cpu] = cs
-	}
-	return cs
 }
 
 // --- netsim.Observer: the NIC arrival / delivery path ---
@@ -345,15 +327,11 @@ func (t *Tracer) bind(j *journey, task int, at simtime.Time) {
 func (t *Tracer) OnEvent(ev trace.Event) {
 	switch ev.Kind {
 	case trace.Dispatch:
-		cs := t.core(ev.CPU)
 		if j := t.byTask[ev.Task]; j != nil && !j.running {
-			t.onDispatch(j, ev, cs)
+			t.onDispatch(j, ev)
 		}
-		cs.everOccupied = true
 		t.onCPU[ev.Task] = true
 	case trace.Preempt, trace.Yield, trace.Block, trace.Sleep, trace.Exit:
-		cs := t.core(ev.CPU)
-		cs.lastFreeAt, cs.lastFreeKind = ev.At, ev.Kind
 		delete(t.onCPU, ev.Task)
 		if j := t.byTask[ev.Task]; j != nil {
 			t.offCPU(j, ev)
@@ -361,34 +339,20 @@ func (t *Tracer) OnEvent(ev trace.Event) {
 	case trace.Wake:
 		t.onWake(ev)
 	}
+	t.waits.Observe(ev)
 }
 
-// onDispatch classifies the wait [readySince, dispatch) with the doctor's
-// occupancy-replay rule — what freed the core last decides the class — and
-// opens a new hop.
-func (t *Tracer) onDispatch(j *journey, ev trace.Event, cs *coreState) {
+// onDispatch splits the wait [readySince, dispatch) with the classifier the
+// doctor's tail attribution uses — what freed the core last decides the
+// class — and opens a new hop.
+func (t *Tracer) onDispatch(j *journey, ev trace.Event) {
 	j.app = ev.App
 	w, d := j.readySince, ev.At
-	hop := Hop{CPU: ev.CPU, At: d, Wait: d - w}
-	if !cs.everOccupied || cs.lastFreeAt <= w {
-		// The core was already free when the task became ready: the whole
-		// wait is wakeup/dispatch delivery latency.
-		hop.Delivery = d - w
-	} else {
-		wait := cs.lastFreeAt - w
-		hop.Delivery = d - cs.lastFreeAt
-		if cs.lastFreeKind == trace.Preempt {
-			tq := wait
-			if t.cfg.TickPeriod <= 0 {
-				tq = 0
-			} else if tq > t.cfg.TickPeriod {
-				tq = t.cfg.TickPeriod
-			}
-			hop.TickQuant = tq
-			hop.PreemptDelay = wait - tq
-		} else {
-			hop.Queue = wait
-		}
+	split := t.waits.Split(ev.CPU, w, d, t.cfg.TickPeriod)
+	hop := Hop{
+		CPU: ev.CPU, At: d, Wait: d - w,
+		Queue: split.Queue, TickQuant: split.TickQuant,
+		PreemptDelay: split.PreemptDelay, Delivery: split.Delivery,
 	}
 	if t.prober != nil {
 		if ua := t.prober.UINTRDeliveredAt(ev.CPU); ua >= w && ua <= d {

@@ -139,9 +139,9 @@ func CheckFlowEvents(tf *TraceFile, min int) error {
 }
 
 // CheckTraceFile parses path as trace_event JSON and runs CheckTrace — the
-// round-trip guard used by `make trace-smoke`. minFaults > 0 additionally
+// round-trip guard used by `make obs-smoke`. minFaults > 0 additionally
 // requires that many validated fault instants (`make chaos`); minFlows > 0
-// requires that many validated causal flow chains (`make causal-smoke`).
+// requires that many validated causal flow chains (`make obs-smoke`).
 func CheckTraceFile(path string, cpus, minFaults, minFlows int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -9,22 +9,8 @@ import (
 )
 
 // AppAttribution decomposes one application's tail wakeup latencies — every
-// span at or above the configured quantile — into the four causes the
-// paper's §5.1 analysis identifies by hand:
-//
-//   - Queue: the dispatching core was busy and only freed up when its task
-//     voluntarily left (block/sleep/yield/exit) — the task simply waited
-//     its turn.
-//   - TickQuant: the core freed up through a preemption, and this portion
-//     of the wait (at most one tick period) is the quantisation cost of a
-//     periodic preemption tick — the component that collapses when the
-//     tick moves from CONFIG_HZ to Skyloft's 100 kHz user timer.
-//   - PreemptDelay: the remainder of a preemption-ended wait beyond one
-//     tick period (the policy let the incumbent keep running) — with an
-//     unknown tick period, the whole preemption-ended wait lands here.
-//   - Delivery: wake-IPI/UINTR delivery plus the dispatch path (pick,
-//     context switch) after the core was available.
-//
+// span at or above the configured quantile — into the four causes of
+// obs.WaitSplit: queue, tick quantisation, preemption delay and delivery.
 // The four components sum exactly to each span's wakeup latency, so the
 // table answers "why is p99 what it is" with no residual.
 type AppAttribution struct {
@@ -61,9 +47,10 @@ type spanKey struct {
 	at   simtime.Time
 }
 
-// attributeTails classifies every tail span's wakeup latency by replaying
-// the event stream with per-core occupancy state: what was the dispatching
-// core doing when the task woke, and which event freed it?
+// attributeTails splits every tail span's wakeup latency with the shared
+// obs.WaitClassifier, replaying the event stream's per-core occupancy: what
+// was the dispatching core doing when the task woke, and which event freed
+// it?
 func attributeTails(events []trace.Event, spans *obs.SpanSet, wake *stats.Hist, cfg Config) []AppAttribution {
 	if wake.Count() == 0 || len(events) == 0 {
 		return nil
@@ -85,73 +72,26 @@ func attributeTails(events []trace.Event, spans *obs.SpanSet, wake *stats.Hist, 
 		return nil
 	}
 
-	// Per-core occupancy replay: occupied from Dispatch until the next
-	// off-CPU event on the same core, which also records how the core was
-	// released (voluntarily or by preemption).
-	type coreState struct {
-		lastFreeAt   simtime.Time
-		lastFreeKind trace.Kind
-		everOccupied bool
-	}
-	cores := map[int]*coreState{}
-	core := func(cpu int) *coreState {
-		cs := cores[cpu]
-		if cs == nil {
-			cs = &coreState{}
-			cores[cpu] = cs
-		}
-		return cs
-	}
-
 	byApp := map[int]*AppAttribution{}
-	account := func(s *obs.Span, cs *coreState) {
-		a := byApp[s.App]
-		if a == nil {
-			a = &AppAttribution{App: s.App, Threshold: threshold}
-			byApp[s.App] = a
-		}
-		a.TailSpans++
-		if lat := s.WakeLatency(); lat > a.MaxLatency {
-			a.MaxLatency = lat
-		}
-		w, d := s.Wake, s.FirstDispatch
-		if !cs.everOccupied || cs.lastFreeAt <= w {
-			// The core was already available at wake time: the whole
-			// latency is delivery + dispatch path.
-			a.Delivery += simtime.Duration(d - w)
-			return
-		}
-		// The core was busy at wake time and freed at lastFreeAt.
-		wait := simtime.Duration(cs.lastFreeAt - w)
-		a.Delivery += simtime.Duration(d - cs.lastFreeAt)
-		if cs.lastFreeKind == trace.Preempt {
-			tq := wait
-			if cfg.TickPeriod > 0 && tq > cfg.TickPeriod {
-				tq = cfg.TickPeriod
-			}
-			if cfg.TickPeriod == 0 {
-				tq = 0
-			}
-			a.TickQuant += tq
-			a.PreemptDelay += wait - tq
-			return
-		}
-		a.Queue += wait
-	}
-
+	var wc obs.WaitClassifier
 	for _, ev := range events {
-		switch ev.Kind {
-		case trace.Dispatch:
-			cs := core(ev.CPU)
-			if s, ok := tails[spanKey{ev.Task, ev.At}]; ok {
-				account(s, cs)
+		if ev.Kind == trace.Dispatch {
+			if s := tails[spanKey{ev.Task, ev.At}]; s != nil {
+				a := byApp[s.App]
+				if a == nil {
+					a = &AppAttribution{App: s.App, Threshold: threshold}
+					byApp[s.App] = a
+				}
+				a.TailSpans++
+				a.MaxLatency = max(a.MaxLatency, s.WakeLatency())
+				w := wc.Split(ev.CPU, s.Wake, ev.At, cfg.TickPeriod)
+				a.Queue += w.Queue
+				a.TickQuant += w.TickQuant
+				a.PreemptDelay += w.PreemptDelay
+				a.Delivery += w.Delivery
 			}
-			cs.everOccupied = true
-		case trace.Preempt, trace.Yield, trace.Block, trace.Sleep, trace.Exit:
-			cs := core(ev.CPU)
-			cs.lastFreeAt = ev.At
-			cs.lastFreeKind = ev.Kind
 		}
+		wc.Observe(ev)
 	}
 
 	out := make([]AppAttribution, 0, len(byApp))

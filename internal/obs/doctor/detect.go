@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"skyloft/internal/det"
-	"skyloft/internal/obs"
 	"skyloft/internal/simtime"
 	"skyloft/internal/stats"
 	"skyloft/internal/trace"
@@ -17,7 +16,7 @@ const (
 	// runnable queue was non-empty.
 	CodeWorkConservation = "work-conservation"
 	// CodeStarvation: an application's task stayed runnable-but-undispatched
-	// beyond the starvation threshold.
+	// beyond the starvation threshold. Decided by Fold alone.
 	CodeStarvation = "starvation"
 	// CodeImbalance: per-core busy shares spread wider than the threshold.
 	CodeImbalance = "imbalance"
@@ -58,12 +57,12 @@ type Finding struct {
 
 // detect runs every pathology detector and returns the findings in a
 // deterministic order (code, then app).
-func detect(events []trace.Event, spans *obs.SpanSet, wake *stats.Hist, windows []WindowStats, cfg Config) []Finding {
+func detect(events []trace.Event, wake *stats.Hist, windows []WindowStats, starved []Finding, cfg Config) []Finding {
 	var out []Finding
 	if f, ok := detectWorkConservation(events, cfg); ok {
 		out = append(out, f)
 	}
-	out = append(out, detectStarvation(spans, cfg)...)
+	out = append(out, starved...)
 	if f, ok := detectImbalance(events, cfg); ok {
 		out = append(out, f)
 	}
@@ -73,8 +72,9 @@ func detect(events []trace.Event, spans *obs.SpanSet, wake *stats.Hist, windows 
 	if f, ok := detectFaultCorrelation(events, windows); ok {
 		out = append(out, f)
 	}
-	out = append(out, detectLeaseStarvation(events, cfg)...)
-	out = append(out, detectLeaseThrash(events, cfg)...)
+	holds := buildLeaseHolds(events)
+	out = append(out, detectLeaseStarvation(holds, cfg)...)
+	out = append(out, detectLeaseThrash(holds, cfg)...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Code != out[j].Code {
 			return out[i].Code < out[j].Code
@@ -167,48 +167,6 @@ func detectWorkConservation(events []trace.Event, cfg Config) (Finding, bool) {
 		Evidence: fmt.Sprintf("%d intervals with idle cores while the runqueue was non-empty (>= %v each); worst %v, total %v",
 			count, cfg.IdleWasteThreshold, worst, total),
 	}, true
-}
-
-// detectStarvation flags applications whose spans waited runnable beyond
-// the starvation threshold before their first dispatch.
-func detectStarvation(spans *obs.SpanSet, cfg Config) []Finding {
-	type starv struct {
-		count   uint64
-		firstAt simtime.Time
-		worst   simtime.Duration
-	}
-	byApp := map[int]*starv{}
-	for _, s := range spans.Spans {
-		if !s.WakeKnown || s.WakeLatency() < cfg.StarvationThreshold {
-			continue
-		}
-		st := byApp[s.App]
-		if st == nil {
-			st = &starv{firstAt: s.Wake}
-			byApp[s.App] = st
-		}
-		st.count++
-		if s.Wake < st.firstAt {
-			st.firstAt = s.Wake
-		}
-		if s.WakeLatency() > st.worst {
-			st.worst = s.WakeLatency()
-		}
-	}
-	var out []Finding
-	for _, app := range det.SortedKeys(byApp) {
-		st := byApp[app]
-		out = append(out, Finding{
-			Code:    CodeStarvation,
-			App:     app,
-			FirstAt: st.firstAt,
-			Count:   st.count,
-			Value:   float64(st.worst),
-			Evidence: fmt.Sprintf("%d wakeups waited >= %v for their first dispatch; worst %v",
-				st.count, cfg.StarvationThreshold, st.worst),
-		})
-	}
-	return out
 }
 
 // detectImbalance accumulates per-core busy time from the event stream and
@@ -393,19 +351,22 @@ func TickBound(wake *stats.Hist) (Finding, bool) {
 	}, true
 }
 
-// leaseHolds reconstructs per-borrower lease activity from the trace's
-// lease events: how many cores each borrower holds over time and each
-// completed hold's duration. Runs without lease events yield an empty map,
-// so clean (non-lease) reports are unchanged by the lease detectors.
+// leaseHolds reconstructs one borrower's lease activity from the trace's
+// lease events: its core-less gaps and its completed holds. Runs without
+// lease events yield an empty map, so clean (non-lease) reports are
+// unchanged by the lease detectors.
 type leaseHolds struct {
-	firstGrant simtime.Time
-	lastEvent  simtime.Time
-	held       int // cores currently held
-	heldSince  simtime.Time
-	idleSince  simtime.Time // start of the current no-core gap
-	gaps       []simtime.Duration
-	holds      []simtime.Duration
-	grantAt    map[int]simtime.Time // core -> open grant time
+	held      int          // cores currently held
+	idleSince simtime.Time // start of the current core-less gap
+	gaps      []interval
+	holds     []interval
+	grantAt   map[int]simtime.Time // core -> open grant time
+}
+
+// interval is one gap or hold: when it began and how long it lasted.
+type interval struct {
+	at simtime.Time
+	d  simtime.Duration
 }
 
 func buildLeaseHolds(events []trace.Event) map[int]*leaseHolds {
@@ -413,7 +374,7 @@ func buildLeaseHolds(events []trace.Event) map[int]*leaseHolds {
 	get := func(app int, at simtime.Time) *leaseHolds {
 		h := byApp[app]
 		if h == nil {
-			h = &leaseHolds{firstGrant: at, idleSince: at, grantAt: map[int]simtime.Time{}}
+			h = &leaseHolds{idleSince: at, grantAt: map[int]simtime.Time{}}
 			byApp[app] = h
 		}
 		return h
@@ -423,16 +384,15 @@ func buildLeaseHolds(events []trace.Event) map[int]*leaseHolds {
 		case trace.LeaseGrant:
 			h := get(ev.App, ev.At)
 			if h.held == 0 {
-				h.gaps = append(h.gaps, simtime.Duration(ev.At-h.idleSince))
+				h.gaps = append(h.gaps, interval{h.idleSince, ev.At - h.idleSince})
 			}
 			h.held++
 			h.grantAt[ev.CPU] = ev.At
-			h.lastEvent = ev.At
 		case trace.LeaseReturn:
 			h := get(ev.App, ev.At)
 			if at, ok := h.grantAt[ev.CPU]; ok {
 				delete(h.grantAt, ev.CPU)
-				h.holds = append(h.holds, simtime.Duration(ev.At-at))
+				h.holds = append(h.holds, interval{at, ev.At - at})
 			}
 			if h.held > 0 {
 				h.held--
@@ -440,44 +400,41 @@ func buildLeaseHolds(events []trace.Event) map[int]*leaseHolds {
 			if h.held == 0 {
 				h.idleSince = ev.At
 			}
-			h.lastEvent = ev.At
 		case trace.LeaseReclaim, trace.LeaseRevoke:
-			get(ev.App, ev.At).lastEvent = ev.At
+			get(ev.App, ev.At)
 		}
 	}
-	// Close the trailing gap against the last event seen anywhere, so a
-	// borrower reclaimed early and never re-granted shows its starvation.
-	var end simtime.Time
-	for _, ev := range events {
-		if ev.At > end {
-			end = ev.At
-		}
-	}
-	for _, h := range byApp {
-		if h.held == 0 && end > h.idleSince {
-			h.gaps = append(h.gaps, simtime.Duration(end-h.idleSince))
+	// Close the trailing gap against the run's last event, so a borrower
+	// reclaimed early and never re-granted shows its starvation.
+	if len(events) > 0 {
+		end := events[len(events)-1].At
+		for _, h := range byApp {
+			if h.held == 0 && end > h.idleSince {
+				h.gaps = append(h.gaps, interval{h.idleSince, end - h.idleSince})
+			}
 		}
 	}
 	return byApp
 }
 
 // detectLeaseStarvation flags borrowers that went without any lent core
-// beyond the threshold between (or after) their leases.
-func detectLeaseStarvation(events []trace.Event, cfg Config) []Finding {
-	byApp := buildLeaseHolds(events)
+// beyond the threshold between (or after) their leases. FirstAt is the
+// start of the first such gap.
+func detectLeaseStarvation(byApp map[int]*leaseHolds, cfg Config) []Finding {
 	var out []Finding
 	for _, app := range det.SortedKeys(byApp) {
-		h := byApp[app]
 		var count uint64
+		var firstAt simtime.Time
 		var worst simtime.Duration
-		for _, g := range h.gaps {
-			if g < cfg.LeaseStarvationThreshold {
+		for _, g := range byApp[app].gaps {
+			if g.d < cfg.LeaseStarvationThreshold {
 				continue
 			}
-			count++
-			if g > worst {
-				worst = g
+			if count == 0 {
+				firstAt = g.at
 			}
+			count++
+			worst = max(worst, g.d)
 		}
 		if count == 0 {
 			continue
@@ -485,7 +442,7 @@ func detectLeaseStarvation(events []trace.Event, cfg Config) []Finding {
 		out = append(out, Finding{
 			Code:    CodeLeaseStarvation,
 			App:     app,
-			FirstAt: h.firstGrant,
+			FirstAt: firstAt,
 			Count:   count,
 			Value:   float64(worst),
 			Evidence: fmt.Sprintf("%d core-less gaps >= %v between leases; worst %v",
@@ -498,23 +455,20 @@ func detectLeaseStarvation(events []trace.Event, cfg Config) []Finding {
 // detectLeaseThrash flags borrowers whose leases keep getting reclaimed
 // almost immediately: at least LeaseThrashCount holds shorter than
 // LeaseThrashHold means the grant/reclaim loop is oscillating and the
-// borrower pays switch costs for no useful core time.
-func detectLeaseThrash(events []trace.Event, cfg Config) []Finding {
-	byApp := buildLeaseHolds(events)
+// borrower pays switch costs for no useful core time. FirstAt is the
+// earliest grant of a short hold.
+func detectLeaseThrash(byApp map[int]*leaseHolds, cfg Config) []Finding {
 	var out []Finding
 	for _, app := range det.SortedKeys(byApp) {
-		h := byApp[app]
+		holds := byApp[app].holds
 		var short uint64
 		var firstAt simtime.Time
-		for i, d := range h.holds {
-			if d >= cfg.LeaseThrashHold {
+		for _, h := range holds {
+			if h.d >= cfg.LeaseThrashHold {
 				continue
 			}
-			if short == 0 {
-				// The i-th completed hold opened at some grant; firstGrant
-				// is close enough for a report anchor.
-				firstAt = h.firstGrant
-				_ = i
+			if short == 0 || h.at < firstAt {
+				firstAt = h.at
 			}
 			short++
 		}
@@ -526,9 +480,9 @@ func detectLeaseThrash(events []trace.Event, cfg Config) []Finding {
 			App:     app,
 			FirstAt: firstAt,
 			Count:   short,
-			Value:   float64(short) / float64(len(h.holds)),
+			Value:   float64(short) / float64(len(holds)),
 			Evidence: fmt.Sprintf("%d of %d leases held < %v before reclaim",
-				short, len(h.holds), cfg.LeaseThrashHold),
+				short, len(holds), cfg.LeaseThrashHold),
 		})
 	}
 	return out

@@ -41,8 +41,9 @@ type Config struct {
 	// into tick quantisation (≤ one period) and residual preemption delay.
 	// 0 = unknown; the whole wait is then preemption delay.
 	TickPeriod simtime.Duration `json:"tick_period_ns"`
-	// StarvationThreshold flags any span whose wakeup latency reaches it
-	// (default 10 ms — far beyond every µs-scale scheduler here).
+	// StarvationThreshold flags any wakeup that waits this long for its
+	// dispatch, or is still waiting that long at a window close (default
+	// 10 ms — far beyond every µs-scale scheduler here).
 	StarvationThreshold simtime.Duration `json:"starvation_threshold_ns"`
 	// IdleWasteThreshold is the minimum contiguous duration of "a core is
 	// idle while the runqueue is non-empty" that counts as a
@@ -145,10 +146,10 @@ func Analyze(events []trace.Event, spans *obs.SpanSet, cfg Config) *Report {
 		}
 	}
 
-	windows, wake := buildWindows(events, spans, cfg)
-	if wake.Count() == 0 {
-		wake = wakeHist(spans) // span-only analysis (no raw events)
-	}
+	// The windows and the starvation verdict come from the fold the live
+	// bus runs; the whole-run percentiles come from the closed spans.
+	windows, starved := buildWindows(events, cfg)
+	wake := wakeHist(spans)
 	r := &Report{
 		Version:    ReportVersion,
 		Config:     cfg,
@@ -161,7 +162,7 @@ func Analyze(events []trace.Event, spans *obs.SpanSet, cfg Config) *Report {
 		Windows:    windows,
 	}
 	r.Attribution = attributeTails(events, spans, wake, cfg)
-	r.Findings = detect(events, spans, wake, windows, cfg)
+	r.Findings = detect(events, wake, windows, starved, cfg)
 	return r
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"skyloft/internal/obs"
 	"skyloft/internal/simtime"
 	"skyloft/internal/stats"
 	"skyloft/internal/trace"
@@ -86,27 +85,31 @@ func TestAttributionUnknownTickPeriod(t *testing.T) {
 	}
 }
 
-func TestWindowHistsMergeToOverall(t *testing.T) {
+// TestWindowCounts checks the replayed fold's per-window event counts,
+// runqueue depth and completions on the hand-built trace. That the windows
+// equal the live bus's is TestDoctorWindowsMatchBus (internal/bench).
+func TestWindowCounts(t *testing.T) {
 	events := attribScenario()
-	spans := obs.BuildSpans(events)
 	cfg := Config{Window: 20 * simtime.Microsecond}.withDefaults()
-	windows, merged := buildWindows(events, spans, cfg)
+	windows, starved := buildWindows(events, cfg)
 	if len(windows) != 5 {
 		t.Fatalf("windows = %d, want 5 over [0, 90µs] at 20µs", len(windows))
 	}
-	overall := wakeHist(spans)
-	if merged.Count() != overall.Count() || merged.P50() != overall.P50() ||
-		merged.P99() != overall.P99() || merged.Max() != overall.Max() {
-		t.Fatalf("merged per-window hist %v != overall %v", merged, overall)
+	if len(starved) != 0 {
+		t.Fatalf("starvation on a µs-scale trace: %+v", starved)
 	}
-	var disp, wakes, preempts uint64
-	for _, w := range windows {
+	var disp, wakes, preempts, samples uint64
+	for i, w := range windows {
+		if want := simtime.Time(i) * 20 * simtime.Microsecond; w.Start != want || w.End != want+20*simtime.Microsecond {
+			t.Fatalf("window %d = [%v, %v), want it aligned at %v", i, w.Start, w.End, want)
+		}
 		disp += w.Dispatches
 		wakes += w.Wakes
 		preempts += w.Preempts
+		samples += w.WakeSamples
 	}
-	if disp != 4 || wakes != 3 || preempts != 1 {
-		t.Fatalf("event counts: disp=%d wakes=%d preempts=%d", disp, wakes, preempts)
+	if disp != 4 || wakes != 3 || preempts != 1 || samples != 3 {
+		t.Fatalf("event counts: disp=%d wakes=%d preempts=%d wake samples=%d", disp, wakes, preempts, samples)
 	}
 	if windows[0].RunqHighWater != 1 {
 		t.Fatalf("window 0 runq high-water = %d, want 1", windows[0].RunqHighWater)
@@ -118,6 +121,40 @@ func TestWindowHistsMergeToOverall(t *testing.T) {
 	}
 	if completed != 3 {
 		t.Fatalf("completed = %d, want 3", completed)
+	}
+}
+
+// TestFoldHoldsOneWindowOfSpans: the fold drops closed spans once a window
+// has counted them, so after many windows it holds no more than the last
+// window's, while Spans still counts every span of the run.
+func TestFoldHoldsOneWindowOfSpans(t *testing.T) {
+	const width = 100 * simtime.Microsecond
+	f := NewFold(0, width, 0)
+	fed := 0
+	var last Window
+	for w := 0; w < 50; w++ {
+		for i := 0; i < 1+w%4; i++ {
+			at := simtime.Time(w)*width + simtime.Time(i)*20*simtime.Microsecond
+			f.Feed(trace.Event{At: at, Kind: trace.Wake, CPU: -1, Task: i})
+			f.Feed(trace.Event{At: at + 1000, Kind: trace.Dispatch, CPU: 0, Task: i})
+			f.Feed(trace.Event{At: at + 5000, Kind: trace.Block, CPU: 0, Task: i})
+			fed++
+		}
+		held := f.st.Result().Spans
+		last = f.Close(f.End())
+		if len(held) != last.Stats.Completed {
+			t.Fatalf("window %d: fold holds %d closed spans, the window completed %d",
+				w, len(held), last.Stats.Completed)
+		}
+		if cap(held) > 4 {
+			t.Fatalf("window %d: span buffer grew to %d, want at most one window's (4)", w, cap(held))
+		}
+	}
+	if len(f.st.Result().Spans) != 0 {
+		t.Fatalf("fold holds %d spans after its last close", len(f.st.Result().Spans))
+	}
+	if f.Spans() != fed {
+		t.Fatalf("Spans() = %d, want all %d", f.Spans(), fed)
 	}
 }
 
@@ -169,7 +206,31 @@ func TestStarvationDetector(t *testing.T) {
 	if !ok {
 		t.Fatalf("starvation not flagged; findings: %+v", r.Findings)
 	}
+	// The wakeup is also still pending at the 1 ms and 2 ms window closes;
+	// it counts once.
 	if f.App != 1 || f.Count != 1 || simtime.Duration(f.Value) != 2*simtime.Millisecond {
+		t.Fatalf("bad finding: %+v", f)
+	}
+
+	// A wakeup that is never dispatched, because another task holds the
+	// only core for 30 ms, starves too: no span ever closes for it.
+	never := []trace.Event{
+		ev(0, trace.Dispatch, 0, 2, 0),
+		ev(1000, trace.Wake, -1, 1, 1),
+		ev(30*simtime.Millisecond, trace.Block, 0, 2, 0),
+	}
+	r = Analyze(never, nil, Config{Cores: 1})
+	var starved []Finding
+	for _, f := range r.Findings {
+		if f.Code == CodeStarvation {
+			starved = append(starved, f)
+		}
+	}
+	if len(starved) != 1 {
+		t.Fatalf("starvation findings = %+v, want one", starved)
+	}
+	if f := starved[0]; f.App != 1 || f.Count != 1 || f.FirstAt != 1000 ||
+		simtime.Duration(f.Value) < 30*simtime.Millisecond-1000 {
 		t.Fatalf("bad finding: %+v", f)
 	}
 }
@@ -323,7 +384,8 @@ func TestLeaseDetectors(t *testing.T) {
 	if starv == nil {
 		t.Fatalf("no %s finding: %+v", CodeLeaseStarvation, r.Findings)
 	}
-	if starv.App != 7 || starv.Count != 1 {
+	// The long gap opens when the first lease returns, at 100 µs.
+	if starv.App != 7 || starv.Count != 1 || starv.FirstAt != 100*simtime.Microsecond {
 		t.Fatalf("starvation finding: %+v", starv)
 	}
 	if got := simtime.Duration(starv.Value); got != 2*simtime.Millisecond {
@@ -332,7 +394,8 @@ func TestLeaseDetectors(t *testing.T) {
 	if thrash == nil {
 		t.Fatalf("no %s finding: %+v", CodeLeaseThrash, r.Findings)
 	}
-	if thrash.App != 7 || thrash.Count < 8 {
+	// The first short hold is granted at 2.201 ms.
+	if thrash.App != 7 || thrash.Count < 8 || thrash.FirstAt != 2_201_000 {
 		t.Fatalf("thrash finding: %+v", thrash)
 	}
 }

@@ -81,15 +81,13 @@ func OpenOut(path string) (io.WriteCloser, error) {
 	return os.Create(path)
 }
 
-func openOut(path string) (io.WriteCloser, error) { return OpenOut(path) }
-
 // EmitTrace writes the event window as trace_event JSON to the -trace-out
 // path (no-op when unset).
 func (f *Flags) EmitTrace(events []trace.Event, cfg ExportConfig) error {
 	if f.TraceOut == "" {
 		return nil
 	}
-	out, err := openOut(f.TraceOut)
+	out, err := OpenOut(f.TraceOut)
 	if err != nil {
 		return err
 	}
@@ -104,37 +102,19 @@ func (f *Flags) EmitTrace(events []trace.Event, cfg ExportConfig) error {
 	return out.Close()
 }
 
-// EmitMetrics writes the registry snapshot as JSON to the -metrics-out path
-// (no-op when unset).
-func (f *Flags) EmitMetrics(reg *Registry) error {
-	if f.MetricsOut == "" {
-		return nil
-	}
-	out, err := openOut(f.MetricsOut)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	if err := reg.WriteJSON(out); err != nil {
-		return err
-	}
-	return out.Close()
-}
-
-// JSONReport is anything that can serialise itself as JSON — in practice
-// the sched-doctor's *doctor.Report, accepted as an interface so obs does
-// not import its own subpackage.
+// JSONReport is anything that can serialise itself as JSON: the metrics
+// *Registry, and the sched-doctor's and causal tracer's documents, accepted
+// as an interface so obs does not import its own subpackages.
 type JSONReport interface {
 	WriteJSON(io.Writer) error
 }
 
-// EmitDoctor writes a doctor report as JSON to the -doctor-out path (no-op
-// when unset or when r is nil).
-func (f *Flags) EmitDoctor(r JSONReport) error {
-	if f.DoctorOut == "" || r == nil {
+// emitJSON writes r as JSON to path (no-op when path is unset or r is nil).
+func emitJSON(path string, r JSONReport) error {
+	if path == "" || r == nil {
 		return nil
 	}
-	out, err := openOut(f.DoctorOut)
+	out, err := OpenOut(path)
 	if err != nil {
 		return err
 	}
@@ -145,23 +125,17 @@ func (f *Flags) EmitDoctor(r JSONReport) error {
 	return out.Close()
 }
 
+// EmitMetrics writes the registry snapshot as JSON to the -metrics-out path
+// (no-op when unset).
+func (f *Flags) EmitMetrics(reg *Registry) error { return emitJSON(f.MetricsOut, reg) }
+
+// EmitDoctor writes a doctor report as JSON to the -doctor-out path (no-op
+// when unset or when r is nil).
+func (f *Flags) EmitDoctor(r JSONReport) error { return emitJSON(f.DoctorOut, r) }
+
 // EmitCausal writes a causal exemplar document as JSON to the -causal-out
-// path (no-op when unset or when t is nil). Accepts the same JSONReport
-// interface as EmitDoctor so obs does not import its own subpackage.
-func (f *Flags) EmitCausal(t JSONReport) error {
-	if f.CausalOut == "" || t == nil {
-		return nil
-	}
-	out, err := openOut(f.CausalOut)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	if err := t.WriteJSON(out); err != nil {
-		return err
-	}
-	return out.Close()
-}
+// path (no-op when unset or when t is nil).
+func (f *Flags) EmitCausal(t JSONReport) error { return emitJSON(f.CausalOut, t) }
 
 // EmitOccupancy prints the occupancy report to w when -occupancy was given
 // (no-op otherwise).

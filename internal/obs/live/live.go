@@ -1,9 +1,11 @@
-// Package live is the streaming telemetry bus: it folds the trace stream
-// into windowed snapshots (doctor-style window stats, per-app wakeup
-// percentiles, metrics-registry deltas, occupancy, live pathology findings)
-// and publishes them incrementally at virtual-time boundaries instead of
-// only at run end — the online view that post-hoc spans, Perfetto exports
-// and doctor reports cannot give.
+// Package live is the streaming telemetry bus: it feeds the trace stream
+// through the sched-doctor's window fold (doctor.Fold: window stats,
+// per-app wakeup percentiles, starvation findings), adds metrics-registry
+// deltas, occupancy and causal exemplars, and publishes the windows
+// incrementally at virtual-time boundaries instead of only at run end — the
+// online view that post-hoc spans, Perfetto exports and doctor reports
+// cannot give. The doctor replays recorded events through the same fold, so
+// the two cannot disagree.
 //
 // # Attach-only
 //
@@ -29,12 +31,10 @@ import (
 	"io"
 	"sync"
 
-	"skyloft/internal/det"
 	"skyloft/internal/obs"
 	"skyloft/internal/obs/causal"
 	"skyloft/internal/obs/doctor"
 	"skyloft/internal/simtime"
-	"skyloft/internal/stats"
 	"skyloft/internal/trace"
 )
 
@@ -45,10 +45,6 @@ const DefaultWindow = simtime.Millisecond
 // endpoint's reach) when Config.History is zero.
 const DefaultHistory = 64
 
-// DefaultStarvation is the live starvation threshold when
-// Config.Starvation is zero — aligned with the doctor's post-hoc detector.
-const DefaultStarvation = 10 * simtime.Millisecond
-
 // Config tunes the bus.
 type Config struct {
 	// Window is the snapshot window width in virtual time.
@@ -58,7 +54,7 @@ type Config struct {
 	// Starvation is the live starvation threshold: a task whose
 	// wake-to-dispatch latency reaches it (or that is still undispatched
 	// that long after its wake when the window closes) raises a starvation
-	// finding in that window's snapshot.
+	// finding in that window's snapshot. 0 selects the doctor's default.
 	Starvation simtime.Duration
 	// Out, when non-nil, receives one NDJSON line per snapshot, written by
 	// a host-side publisher goroutine so file I/O never blocks dispatch.
@@ -83,18 +79,6 @@ type Source struct {
 	Causal *causal.Tracer
 }
 
-// AppWindow is one application's slice of a snapshot window.
-type AppWindow struct {
-	App         int              `json:"app"`
-	Name        string           `json:"name,omitempty"`
-	Completed   int              `json:"completed"`
-	WakeSamples uint64           `json:"wake_samples"`
-	WakeP50     simtime.Duration `json:"wake_p50_ns"`
-	WakeP99     simtime.Duration `json:"wake_p99_ns"`
-	WakeMax     simtime.Duration `json:"wake_max_ns"`
-	Run         simtime.Duration `json:"run_ns"`
-}
-
 // MetricDelta is one registry metric's value and per-window movement.
 type MetricDelta struct {
 	Name  string  `json:"name"`
@@ -106,7 +90,7 @@ type MetricDelta struct {
 type Snapshot struct {
 	Seq         int                 `json:"seq"`
 	Window      doctor.WindowStats  `json:"window"`
-	Apps        []AppWindow         `json:"apps,omitempty"`
+	Apps        []doctor.AppWindow  `json:"apps,omitempty"`
 	Metrics     []MetricDelta       `json:"metrics,omitempty"`
 	Findings    []doctor.Finding    `json:"findings,omitempty"`
 	Occupancy   []obs.CoreOccupancy `json:"occupancy,omitempty"`
@@ -114,26 +98,6 @@ type Snapshot struct {
 	TotalEvents uint64              `json:"total_events"`
 	TotalSpans  int                 `json:"total_spans"`
 	Partial     bool                `json:"partial,omitempty"` // final flush of an unfinished window
-}
-
-// pendingWake tracks a woken, not-yet-dispatched task.
-type pendingWake struct {
-	at  simtime.Time
-	app int
-}
-
-// appAcc accumulates one app's window stats.
-type appAcc struct {
-	completed int
-	run       simtime.Duration
-	hist      *stats.Hist
-}
-
-// starvAcc accumulates one app's starvation evidence within a window.
-type starvAcc struct {
-	count   uint64
-	firstAt simtime.Time
-	worst   simtime.Duration
 }
 
 // Bus is the live telemetry bus. Attach wires it; all bus state is mutated
@@ -144,25 +108,7 @@ type Bus struct {
 	cfg Config
 	src Source
 
-	st       *obs.Stitcher
-	winStart simtime.Time
-	winEnd   simtime.Time
-
-	depth   int // runnable-queue depth, reconstructed; carried across windows
-	depthHW int
-
-	dispatches, wakes, preempts, steals, injects uint64
-	leaseGrants, leaseRevokes, leaseReturns      uint64
-
-	// Window accumulators, reset in place at every window close: apps holds
-	// the apps seen this window, accs every app's accumulator ever made
-	// (its histogram is reused rather than reallocated per window).
-	wakeHist *stats.Hist
-	pending  map[int]pendingWake
-	apps     map[int]*appAcc
-	accs     map[int]*appAcc
-	starved  map[int]starvAcc
-
+	fold *doctor.Fold
 	prev map[string]float64 // last metrics snapshot, for deltas
 
 	streamHash uint64
@@ -191,23 +137,13 @@ func Attach(cfg Config, src Source) *Bus {
 	if cfg.History <= 0 {
 		cfg.History = DefaultHistory
 	}
-	if cfg.Starvation <= 0 {
-		cfg.Starvation = DefaultStarvation
-	}
 	b := &Bus{
 		cfg:        cfg,
 		src:        src,
-		st:         obs.NewStitcher(),
-		wakeHist:   stats.NewHist(),
-		pending:    map[int]pendingWake{},
-		apps:       map[int]*appAcc{},
-		accs:       map[int]*appAcc{},
-		starved:    map[int]starvAcc{},
+		fold:       doctor.NewFold(src.Clock.Now(), cfg.Window, cfg.Starvation),
 		prev:       map[string]float64{},
 		streamHash: fnvOffset,
 	}
-	b.winStart = src.Clock.Now()
-	b.winEnd = b.winStart + simtime.Time(cfg.Window)
 	if b.cfg.Recorder != nil {
 		b.cfg.Recorder.attach(b)
 	}
@@ -215,7 +151,7 @@ func Attach(cfg Config, src Source) *Bus {
 	// The bus schedules only its own window-boundary ticks; they carry no
 	// sim-visible effect and the stream hash is proven topology-invariant.
 	//simlint:allow attachonly the bus owns its window-boundary tick events
-	src.Clock.At(b.winEnd, b.tick)
+	src.Clock.At(b.fold.End(), b.tick)
 	if cfg.Out != nil {
 		b.ch = make(chan []byte, 64)
 		b.wg.Add(1)
@@ -227,86 +163,14 @@ func Attach(cfg Config, src Source) *Bus {
 // onEvent is the ring tap: close any window the event has moved past, then
 // fold the event into the current one.
 func (b *Bus) onEvent(ev trace.Event) {
-	for ev.At >= b.winEnd {
+	for ev.At >= b.fold.End() {
 		b.publish(false)
 	}
-	switch ev.Kind {
-	case trace.Dispatch:
-		b.dispatches++
-		if b.depth > 0 {
-			b.depth--
-		}
-		if p, ok := b.pending[ev.Task]; ok {
-			lat := simtime.Duration(ev.At - p.at)
-			b.wakeHist.Record(lat)
-			b.app(ev.App).hist.Record(lat)
-			if lat >= b.cfg.Starvation {
-				b.starve(ev.App, p.at, lat)
-			}
-			delete(b.pending, ev.Task)
-		}
-	case trace.Wake:
-		b.wakes++
-		b.pending[ev.Task] = pendingWake{at: ev.At, app: ev.App}
-		b.bumpDepth()
-	case trace.Preempt:
-		b.preempts++
-		b.bumpDepth()
-	case trace.Yield:
-		b.bumpDepth()
-	case trace.Steal:
-		b.steals++
-	case trace.Inject:
-		b.injects++
-	case trace.LeaseGrant:
-		b.leaseGrants++
-	case trace.LeaseRevoke:
-		b.leaseRevokes++
-	case trace.LeaseReturn:
-		b.leaseReturns++
-	}
+	b.fold.Feed(ev)
 	if r := b.cfg.Recorder; r != nil {
 		r.record(ev)
 	}
-	b.st.Feed(ev)
 	b.dirty = true
-}
-
-func (b *Bus) bumpDepth() {
-	b.depth++
-	if b.depth > b.depthHW {
-		b.depthHW = b.depth
-	}
-}
-
-// app returns id's accumulator for the current window, clearing the one
-// left from an earlier window on the app's first event in this one.
-func (b *Bus) app(id int) *appAcc {
-	a := b.apps[id]
-	if a == nil {
-		a = b.accs[id]
-		if a == nil {
-			a = &appAcc{hist: stats.NewHist()}
-			b.accs[id] = a
-		} else {
-			a.completed, a.run = 0, 0
-			a.hist.Reset()
-		}
-		b.apps[id] = a
-	}
-	return a
-}
-
-func (b *Bus) starve(app int, firstAt simtime.Time, lat simtime.Duration) {
-	s, ok := b.starved[app]
-	if !ok {
-		s.firstAt = firstAt
-	}
-	s.count++
-	if lat > s.worst {
-		s.worst = lat
-	}
-	b.starved[app] = s
 }
 
 // tick is the boundary event: close windows up to now and re-arm.
@@ -314,22 +178,22 @@ func (b *Bus) tick() {
 	if b.closed {
 		return
 	}
-	for b.src.Clock.Now() >= b.winEnd {
+	for b.src.Clock.Now() >= b.fold.End() {
 		b.publish(false)
 	}
 	//simlint:allow attachonly the bus owns its window-boundary tick events
-	b.src.Clock.At(b.winEnd, b.tick)
+	b.src.Clock.At(b.fold.End(), b.tick)
 }
 
-// publish closes the current window: build the snapshot, fold its canonical
-// form into the stream hash, hand it to the exporter, the history ring and
-// the flight recorder, then open the next window.
+// publish closes the fold's current window (which opens the next), builds
+// the snapshot, folds its canonical form into the stream hash, and hands it
+// to the exporter, the history ring and the flight recorder.
 func (b *Bus) publish(partial bool) {
-	end := b.winEnd
+	end := b.fold.End()
 	if partial {
 		end = b.src.Clock.Now()
 	}
-	snap := b.buildSnapshot(end, partial)
+	snap := b.buildSnapshot(b.fold.Close(end), partial)
 	line, err := json.Marshal(&snap)
 	if err != nil {
 		panic(fmt.Sprintf("live: snapshot marshal: %v", err))
@@ -359,91 +223,23 @@ func (b *Bus) publish(partial bool) {
 			r.Trigger("live finding: " + snap.Findings[0].Code)
 		}
 	}
-
-	// Open the next window.
-	b.winStart = end
-	b.winEnd = end + simtime.Time(b.cfg.Window)
-	b.depthHW = b.depth
-	b.dispatches, b.wakes, b.preempts, b.steals, b.injects = 0, 0, 0, 0, 0
-	b.leaseGrants, b.leaseRevokes, b.leaseReturns = 0, 0, 0
-	b.wakeHist.Reset()
-	clear(b.apps)
-	clear(b.starved)
 	b.dirty = false
 }
 
-func (b *Bus) buildSnapshot(end simtime.Time, partial bool) Snapshot {
-	closed := b.st.TakeClosed()
-	for _, s := range closed {
-		a := b.app(s.App)
-		a.completed++
-		a.run += s.Run
-	}
-	// A task woken long ago and still undispatched at the close is already
-	// starving — report it now, not when (if ever) it finally runs.
-	for _, task := range det.SortedKeys(b.pending) {
-		p := b.pending[task]
-		if lat := simtime.Duration(end - p.at); lat >= b.cfg.Starvation {
-			b.starve(p.app, p.at, lat)
-		}
-	}
-
-	width := simtime.Duration(end - b.winStart)
-	ws := doctor.WindowStats{
-		Start:         b.winStart,
-		End:           end,
-		Completed:     len(closed),
-		WakeSamples:   b.wakeHist.Count(),
-		WakeP50:       b.wakeHist.P50(),
-		WakeP99:       b.wakeHist.P99(),
-		RunqHighWater: b.depthHW,
-		Dispatches:    b.dispatches,
-		Wakes:         b.wakes,
-		Preempts:      b.preempts,
-		Steals:        b.steals,
-		Injects:       b.injects,
-		LeaseGrants:   b.leaseGrants,
-		LeaseRevokes:  b.leaseRevokes,
-		LeaseReturns:  b.leaseReturns,
-	}
-	if width > 0 {
-		ws.ThroughputRPS = float64(len(closed)) * float64(simtime.Second) / float64(width)
-	}
-
+func (b *Bus) buildSnapshot(w doctor.Window, partial bool) Snapshot {
 	snap := Snapshot{
 		Seq:         b.nwin,
-		Window:      ws,
+		Window:      w.Stats,
+		Apps:        w.Apps,
+		Findings:    w.Findings,
 		TotalEvents: b.src.Ring.Total(),
-		TotalSpans:  b.st.Closed(),
+		TotalSpans:  b.fold.Spans(),
 		Partial:     partial,
 	}
-	for _, id := range det.SortedKeys(b.apps) {
-		a := b.apps[id]
-		aw := AppWindow{
-			App:         id,
-			Completed:   a.completed,
-			WakeSamples: a.hist.Count(),
-			WakeP50:     a.hist.P50(),
-			WakeP99:     a.hist.P99(),
-			WakeMax:     a.hist.Max(),
-			Run:         a.run,
+	for i := range snap.Apps {
+		if id := snap.Apps[i].App; id >= 0 && id < len(b.src.AppNames) {
+			snap.Apps[i].Name = b.src.AppNames[id]
 		}
-		if id >= 0 && id < len(b.src.AppNames) {
-			aw.Name = b.src.AppNames[id]
-		}
-		snap.Apps = append(snap.Apps, aw)
-	}
-	for _, app := range det.SortedKeys(b.starved) {
-		s := b.starved[app]
-		snap.Findings = append(snap.Findings, doctor.Finding{
-			Code:    doctor.CodeStarvation,
-			App:     app,
-			FirstAt: s.firstAt,
-			Count:   s.count,
-			Value:   float64(s.worst),
-			Evidence: fmt.Sprintf("%d wakeups waited >= %v this window (worst %v)",
-				s.count, b.cfg.Starvation, s.worst),
-		})
 	}
 	if b.src.Registry != nil {
 		for _, s := range b.src.Registry.Snapshot() {
@@ -485,7 +281,7 @@ func (b *Bus) Close() error {
 		return b.werr
 	}
 	b.closed = true
-	if b.dirty || b.src.Clock.Now() > b.winStart {
+	if b.dirty || b.src.Clock.Now() > b.fold.Start() {
 		b.publish(true)
 	}
 	b.src.Ring.SetTap(nil)

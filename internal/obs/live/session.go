@@ -83,9 +83,8 @@ func (s *Session) Close() error {
 	return err
 }
 
-// Summary is the one-line run footer the cmds print (and the smoke tests
-// grep): window count, the deterministic stream hash, and flight-recorder
-// activity.
+// Summary is the one-line run footer the cmds print: window count, the
+// deterministic stream hash, and flight-recorder activity.
 func (s *Session) Summary() string {
 	if s == nil {
 		return ""

@@ -76,12 +76,12 @@ type taskStitch struct {
 // Stitcher folds a chronological event stream into lifecycle spans one
 // event at a time. It is the incremental form of BuildSpans: feeding the
 // same events in the same order produces the identical SpanSet, but
-// streaming consumers (the live telemetry bus) can take spans as they close
-// instead of waiting for the run to end.
+// streaming consumers (the doctor's window fold) can take spans as they
+// close instead of holding the run's spans until it ends.
 type Stitcher struct {
 	ss    SpanSet
 	tasks map[int]*taskStitch
-	taken int // spans already handed out by TakeClosed
+	taken int // spans handed out by TakeClosed and forgotten
 }
 
 // NewStitcher returns an empty stitcher.
@@ -170,20 +170,23 @@ func (sp *Stitcher) Feed(ev trace.Event) {
 }
 
 // TakeClosed returns the spans that closed since the previous TakeClosed
-// call, in close order. The returned slice aliases the stitcher's backing
-// array and stays valid (spans are append-only).
+// call, in close order, and forgets them: Result no longer lists them. The
+// returned slice aliases the stitcher's buffer, so it is valid only until
+// the next Feed.
 func (sp *Stitcher) TakeClosed() []Span {
-	out := sp.ss.Spans[sp.taken:]
-	sp.taken = len(sp.ss.Spans)
+	out := sp.ss.Spans
+	sp.taken += len(out)
+	sp.ss.Spans = out[:0]
 	return out
 }
 
-// Closed reports how many spans have closed so far.
-func (sp *Stitcher) Closed() int { return len(sp.ss.Spans) }
+// Closed reports how many spans have closed so far, taken ones included.
+func (sp *Stitcher) Closed() int { return sp.taken + len(sp.ss.Spans) }
 
 // Result finalises the stitch: episodes still open become Incomplete, and
-// the accumulated SpanSet is returned. The stitcher can keep feeding after
-// Result; a later Result recounts the then-open episodes.
+// the accumulated SpanSet, less any taken spans, is returned. The stitcher
+// can keep feeding after Result; a later Result recounts the then-open
+// episodes.
 func (sp *Stitcher) Result() *SpanSet {
 	sp.ss.Incomplete = 0
 	for _, st := range sp.tasks {
