@@ -51,24 +51,30 @@ race:
 # Fuzz smoke: a short run of each native fuzz target beyond its checked-in
 # seed corpus (testdata/fuzz/, which plain `go test` already replays).
 # FuzzClock drives the timer-wheel Clock and the reference HeapClock from
-# the same input and fails on the first dispatch divergence. Each new fuzz
-# target appends its own line.
+# the same input and fails on the first dispatch divergence. FuzzLSM drives
+# the LSM store with Put/Get/Scan sequences on two store shapes and fails
+# on the first answer that differs from a map plus sort.Strings, or on a
+# Scan result that a later op changed. Each new fuzz target appends its
+# own line.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzClock$$' -fuzztime 10s ./internal/simtime/
+	$(GO) test -run '^$$' -fuzz '^FuzzLSM$$' -fuzztime 10s ./internal/apps/kvstore/
 
 # A handful of iterations only — this is a smoke test that the benchmarks
 # still compile and run, not a measurement; the wheel clock's two
 # benchmarks (a bare Step loop, and the same load through 1 ms Run windows
 # as the engines drive it) must show 0 allocs/op beside the HeapClock
-# reference; the LSM pair's -benchmem line makes an accidental per-SCAN
-# sort or map visible, and the proc pair's (one Resume→Ask round trip,
-# one pooled thread life) a per-switch allocation; the thread-per-request
-# window (~100 NIC requests through core + worksteal + server) and the
-# runqueue cycle must show 0 allocs/op, so a reintroduced per-request or
-# per-enqueue allocation is visible here.
-# Real numbers: see EXPERIMENTS.md ("Event-core performance") and
-# `go test -bench . -benchmem`.
+# reference; BenchmarkLSMScan/run (a Fig. 8b SCAN inside the compacted
+# run, which returns the run's own value column) must show 0 allocs/op, so
+# a per-SCAN copy of a run is visible beside the memtable and straddle
+# cases' one; the proc pair's -benchmem line (one Resume→Ask round trip,
+# one pooled thread life) makes a per-switch allocation visible; the
+# thread-per-request window (~100 NIC requests through core + worksteal +
+# server) and the runqueue cycle must show 0 allocs/op, so a reintroduced
+# per-request or per-enqueue allocation is visible here.
+# Real numbers: see EXPERIMENTS.md ("Event-core performance"; the LSM's
+# under Fig. 8b) and `go test -bench . -benchmem`.
 .PHONY: bench-smoke
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkClock' -benchtime 100x -benchmem ./internal/simtime/

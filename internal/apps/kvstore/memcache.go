@@ -1,11 +1,16 @@
 // Package kvstore implements the two storage engines behind the paper's
 // real-world applications (§5.3): a sharded in-memory hash store standing
 // in for Memcached, and a small log-structured merge store standing in for
-// RocksDB, whose sorted memtable and sorted runs serve range scans as one
-// k-way merge without sorting anything per request. Both are real data
-// structures — requests execute genuine lookups, inserts and range scans —
-// while their CPU demand in virtual time comes from the measured
-// service-time distributions the paper reports.
+// RocksDB. The LSM keeps each level, the memtable and every immutable
+// sorted run, as a pair of sorted key and value columns, and serves range
+// scans as one k-way merge that copies whole stretches of one level at a
+// time, without sorting anything per request. A scan whose rows all come
+// from one run returns a window of that run's value column instead of a
+// copy, so callers must not write a Scan result's elements; appending to
+// one is safe. Both are real data structures — requests execute genuine
+// lookups, inserts and range scans — while their CPU demand in virtual
+// time comes from the measured service-time distributions the paper
+// reports.
 package kvstore
 
 import "fmt"

@@ -149,14 +149,18 @@ func RunNetApp(cfg NetConfig) LoadPoint {
 }
 
 // makeHandler builds the application request handler: real data-structure
-// operations plus the measured service demand.
+// operations plus the measured service demand. Each handler formats its
+// key table once and indexes it for the preload and every request.
 func makeHandler(app string) server.Handler {
 	switch app {
 	case "memcached":
+		keys := keyTable("key-%d", 10000)
 		mc := kvstore.NewMemcache(64)
-		mc.Preload(10000)
+		for i, k := range keys {
+			mc.Set(k, fmt.Sprintf("value-%d", i))
+		}
 		return func(e sched.Env, p netsim.Packet) {
-			key := fmt.Sprintf("key-%d", e.Rand().Intn(10000))
+			key := keys[e.Rand().Intn(len(keys))]
 			if p.Class == 0 {
 				mc.Get(key)
 			} else {
@@ -165,24 +169,32 @@ func makeHandler(app string) server.Handler {
 			e.Run(p.Service)
 		}
 	case "rocksdb":
+		keys := keyTable("key-%08d", 20000)
 		db := kvstore.NewLSM(4096)
-		for i := 0; i < 20000; i++ {
-			db.Put(fmt.Sprintf("key-%08d", i), fmt.Sprintf("value-%d", i))
+		for i, k := range keys {
+			db.Put(k, fmt.Sprintf("value-%d", i))
 		}
 		return func(e sched.Env, p netsim.Packet) {
 			n := e.Rand().Intn(19000)
 			if p.Class == 0 {
-				db.Get(fmt.Sprintf("key-%08d", n))
+				db.Get(keys[n])
 			} else {
-				start := fmt.Sprintf("key-%08d", n)
-				end := fmt.Sprintf("key-%08d", n+500)
-				db.Scan(start, end, 500)
+				db.Scan(keys[n], keys[n+500], 500)
 			}
 			e.Run(p.Service)
 		}
 	default:
 		panic("bench: unknown app " + app)
 	}
+}
+
+// keyTable returns format rendered for 0..n-1.
+func keyTable(format string, n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf(format, i)
+	}
+	return keys
 }
 
 // Fig8a sweeps load for Memcached: Skyloft (work stealing) vs Shenango;
