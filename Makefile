@@ -6,10 +6,11 @@ GO ?= go
 # the full test suite under the race detector (the parallel sweep runner
 # makes -race meaningful), a short fuzz smoke, a short benchmark smoke to
 # catch accidental allocation regressions in the event core, the
-# observability smoke, and the benchmark regression gate against the
-# committed BENCH_skyloft.json.
+# observability smoke, the benchmark regression gate against the
+# committed BENCH_skyloft.json, the chaos and oversubscription gates, and a
+# run of every example program.
 .PHONY: check
-check: vet build lint race fuzz-smoke bench-smoke obs-smoke bench-gate chaos oversub
+check: vet build lint race fuzz-smoke bench-smoke obs-smoke bench-gate chaos oversub examples-smoke
 
 .PHONY: vet
 vet:
@@ -170,11 +171,19 @@ chaos:
 # twice — bit-identical replay (trace hash, event total and dispatched
 # count), zero cross-app invariant violations, forced revocation
 # demonstrably engaged under the borrower stall, measured reclaim p99
-# inside the protocol's bound — then run the
-# examples/multiapp smoke, which exits non-zero unless the injected
-# borrower stall actually forced at least one revocation.
+# inside the protocol's bound.
 .PHONY: oversub
 oversub:
 	$(GO) run ./cmd/skyloft-bench -oversub all -seed 1
-	$(GO) run ./examples/multiapp > /dev/null
 	@echo "oversub OK"
+
+# Examples smoke: run every program under examples/ and fail on the first
+# non-zero exit. Each takes well under a second once built. Its exit status
+# is the check: examples/multiapp exits non-zero unless the injected
+# borrower stall actually forced at least one revocation.
+.PHONY: examples-smoke
+examples-smoke:
+	@for d in examples/*/; do \
+		$(GO) run ./$${d%/} > /dev/null || { echo "examples-smoke: $$d failed"; exit 1; }; \
+	done
+	@echo "examples-smoke OK"

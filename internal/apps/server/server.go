@@ -44,16 +44,10 @@ type CausalTracer interface {
 	ReplyDirect(seq uint64, at simtime.Time)
 }
 
-// Server measures request completions.
-type Server struct {
-	Rec *loadgen.Recorder
-	nic *netsim.NIC
-}
-
 // NewThreadPerRequest attaches a thread-per-request server to all rings of
 // nic, spawning handler threads on sys.
-func NewThreadPerRequest(sys apps.System, nic *netsim.NIC, rec *loadgen.Recorder, h Handler) *Server {
-	return NewThreadPerRequestObs(sys, nic, rec, h, nil)
+func NewThreadPerRequest(sys apps.System, nic *netsim.NIC, rec *loadgen.Recorder, h Handler) {
+	NewThreadPerRequestObs(sys, nic, rec, h, nil)
 }
 
 // NewThreadPerRequestObs is NewThreadPerRequest with an optional causal
@@ -65,19 +59,17 @@ func NewThreadPerRequest(sys apps.System, nic *netsim.NIC, rec *loadgen.Recorder
 // bound once when the record is created, so a request allocates nothing
 // once the pool has grown to the peak number of requests in flight.
 func NewThreadPerRequestObs(sys apps.System, nic *netsim.NIC, rec *loadgen.Recorder,
-	h Handler, ct CausalTracer) *Server {
-	s := &Server{Rec: rec, nic: nic}
+	h Handler, ct CausalTracer) {
 	pool := &tprPool{h: h, rec: rec, ct: ct}
 	for i := 0; i < nic.Rings(); i++ {
 		nic.OnRing(i, func(p netsim.Packet) {
 			r := pool.get(p)
-			t := sys.Start(reqName(p), r.body)
+			t := sys.Start("req", r.body)
 			if ct != nil {
 				ct.BindPacket(p.Seq, t.ID, nic.Now())
 			}
 		})
 	}
-	return s
 }
 
 // tprPool is the free list of thread-per-request records of one server.
@@ -129,17 +121,7 @@ func (r *tprReq) serve(e sched.Env) {
 // popping a shared ring (run-to-completion, the Linux CFS baseline of
 // Fig. 7a).
 func NewWorkerPool(sys apps.System, w netsim.Waker, nic *netsim.NIC, rec *loadgen.Recorder,
-	workers int, h Handler) *Server {
-	return NewWorkerPoolObs(sys, w, nic, rec, workers, h, nil)
-}
-
-// NewWorkerPoolObs is NewWorkerPool with an optional causal tracer: each
-// request binds to the pool worker that pops it (mid-run — the interval the
-// packet sat in the shared ring is ingress queueing) and replies when the
-// handler finishes.
-func NewWorkerPoolObs(sys apps.System, w netsim.Waker, nic *netsim.NIC, rec *loadgen.Recorder,
-	workers int, h Handler, ct CausalTracer) *Server {
-	s := &Server{Rec: rec, nic: nic}
+	workers int, h Handler) {
 	ring := netsim.NewRing(w)
 	for i := 0; i < nic.Rings(); i++ {
 		nic.OnRing(i, ring.PushExternal)
@@ -148,27 +130,11 @@ func NewWorkerPoolObs(sys apps.System, w netsim.Waker, nic *netsim.NIC, rec *loa
 		sys.Start(fmt.Sprintf("pool-worker-%d", i), func(e sched.Env) {
 			for {
 				p := ring.Pop(e)
-				if p.Class < 0 {
-					return // poison pill for shutdown
-				}
-				if ct != nil {
-					ct.BindPacket(p.Seq, e.Self().ID, e.Now())
-				}
 				h(e, p)
-				now := e.Now()
-				rec.Record(now, p.Arrive, p.Service, p.Class)
-				if ct != nil {
-					ct.ReplyPacket(p.Seq, now)
-				}
+				rec.Record(e.Now(), p.Arrive, p.Service, p.Class)
 			}
 		})
 	}
-	return s
-}
-
-func reqName(p netsim.Packet) string {
-	// Avoid fmt in the hot path of large simulations.
-	return "req"
 }
 
 // Feed connects a load generator to the NIC: every generated request
@@ -272,14 +238,6 @@ func FeedDirectObs(g *loadgen.Gen, clock loadgen.Clock, sys apps.System,
 			ct.BindDirect(req.Seq, t.ID)
 		}
 	})
-}
-
-// Drain pushes poison pills so worker-pool threads exit (call after the
-// load generator stops and the ring empties).
-func Drain(nic *netsim.NIC, workers int) {
-	for i := 0; i < workers; i++ {
-		nic.Deliver(netsim.Packet{Class: -1})
-	}
 }
 
 // USRClasses is Memcached's USR workload (§5.3): 99.8% GETs / 0.2% SETs

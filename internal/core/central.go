@@ -305,6 +305,5 @@ func (e *Engine) maybeGrantBE(w *coreCtx) bool {
 	return false
 }
 
-// BEGrants and BEPreempts report core-allocation activity.
-func (e *Engine) BEGrants() uint64   { return e.allocState.grants }
-func (e *Engine) BEPreempts() uint64 { return e.allocState.preempts }
+// BEGrants reports how many idle cores were granted to best-effort apps.
+func (e *Engine) BEGrants() uint64 { return e.allocState.grants }

@@ -899,10 +899,6 @@ func (e *Engine) wake(from *coreCtx, t *sched.Thread) {
 	e.submit(t, EnqWakeup)
 }
 
-// ExternalWake wakes a thread from outside any thread context (packet
-// arrivals, timers) — the netsim.Waker interface.
-func (e *Engine) ExternalWake(t *sched.Thread) { e.wake(nil, t) }
-
 // ---- interrupt handling ----
 
 // onUserIRQ is the global user-interrupt handler (Listing 1): vector 62 is

@@ -103,7 +103,8 @@ type Model struct {
 	GhostMessage simtime.Duration
 
 	// Network datapath costs (per packet, §3.5): NIC ring poll, RSS-steered
-	// ring hop, and the lite UDP/TCP stack parse/build.
+	// ring hop, and protocol processing (header parse and reply build). The
+	// simulator models these as costs only; no packet bytes exist.
 	NICPoll  simtime.Duration
 	RingHop  simtime.Duration
 	NetStack simtime.Duration

@@ -1,7 +1,7 @@
 // Package fifo provides Ring, the growable ring buffer behind every
 // simulator queue that slides: policy runqueues (policy.Deque), the
 // waiter lists of the sched synchronisation primitives, and the netsim
-// ingress rings and socket waiters.
+// worker-pool ring and the NIC's in-flight queue.
 //
 // A slice used as a queue (q = q[1:] to pop, append to push) reallocates
 // as it slides and keeps popped elements reachable until the next growth;

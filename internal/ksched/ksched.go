@@ -284,12 +284,6 @@ func New(cfg Config) *Kernel {
 // Machine reports the underlying machine.
 func (k *Kernel) Machine() *hw.Machine { return k.m }
 
-// ContextSwitches reports the number of kernel context switches performed.
-func (k *Kernel) ContextSwitches() uint64 { return k.ctxSwitches }
-
-// ReschedIPIs reports wakeup-preemption IPIs sent between CPUs.
-func (k *Kernel) ReschedIPIs() uint64 { return k.reschedIPIs }
-
 // RegisterMetrics registers the kernel's scheduler counters (and the
 // underlying machine's fabric counters) on r. All entries are func-backed
 // reads of fields the kernel maintains anyway.
@@ -307,9 +301,6 @@ func (k *Kernel) RegisterMetrics(r *obs.Registry) {
 	}
 	k.m.RegisterMetrics(r)
 }
-
-// Threads reports all threads ever created.
-func (k *Kernel) Threads() []*sched.Thread { return k.threads }
 
 // Shutdown kills all live thread coroutines (call when a simulation ends).
 func (k *Kernel) Shutdown() {

@@ -1,8 +1,9 @@
 // Package netsim models the kernel-bypass network datapath of §3.5: a
 // DPDK-style NIC polled on a dedicated core, RSS steering into per-core
-// ingress rings, and a lite UDP stack — enough to reproduce the paper's
-// networking experiments, whose behaviour depends on the arrival process,
-// per-packet datapath costs and steering, not on wire-level detail.
+// ingress rings, and the blocking ring a worker-pool server pops. The
+// paper's networking experiments depend on the arrival process, per-packet
+// datapath costs and steering, not on wire-level detail, so packets carry
+// no bytes and protocol processing is a per-packet cost.
 package netsim
 
 import (
@@ -21,23 +22,16 @@ type Packet struct {
 	Flow    uint64           // RSS hash input (connection identity)
 }
 
-// Waker lets external events (packet arrivals) wake simulated threads; both
-// the Skyloft engine and the simulated kernel implement it.
+// Waker lets external events (packet arrivals) wake simulated threads; the
+// simulated kernel implements it for its worker-pool server.
 type Waker interface {
 	ExternalWake(t *sched.Thread)
-}
-
-// Clock is the subset of the simtime event core the NIC needs.
-type Clock interface {
-	Now() simtime.Time
-	After(d simtime.Duration, fn func()) simtime.Event
 }
 
 // Observer watches the datapath for per-request causal tracing: arrival is
 // the instant the NIC accepts a packet (after sequence assignment and RSS
 // steering), delivery the instant the ring handler receives it. Observers
 // must be attach-only — they read packet identity, never mutate NIC state.
-// Poison pills (Class < 0, the worker-pool shutdown path) are not reported.
 type Observer interface {
 	PacketArrived(p Packet, ring int)
 	PacketDelivered(p Packet, ring int, at simtime.Time)
@@ -45,12 +39,12 @@ type Observer interface {
 
 // NIC is the simulated device. In the default polling mode (§3.5) a
 // dedicated core polls the device and delivered packets pay the poll + RSS
-// ring hop + protocol stack costs before the application sees them. In
+// ring hop + protocol processing costs before the application sees them. In
 // interrupt mode (§6 "peripheral interrupts") the device raises an MSI
 // delegated to user space on the ring's core instead; the receiving core
 // drains the ring in its user-interrupt handler.
 type NIC struct {
-	clock Clock
+	clock *simtime.Clock
 	cost  cycles.Model
 	rings []func(Packet) // per-ring handler (installed by the app/runtime)
 	seq   uint64
@@ -62,9 +56,8 @@ type NIC struct {
 	// polling-mode in-flight packets. The datapath delay is a constant, so
 	// deliveries complete strictly FIFO and one reusable callback popping
 	// from this queue replaces a closure per packet.
-	inflight     []inflightPkt
-	inflightHead int
-	deliverFn    func()
+	inflight  fifo.Ring[inflightPkt]
+	deliverFn func()
 
 	delivered uint64
 	dropped   uint64
@@ -77,19 +70,13 @@ type inflightPkt struct {
 }
 
 // NewNIC creates a NIC with n RSS rings.
-func NewNIC(clock Clock, cost cycles.Model, n int) *NIC {
+func NewNIC(clock *simtime.Clock, cost cycles.Model, n int) *NIC {
 	if n <= 0 {
 		panic("netsim: NIC needs at least one ring")
 	}
 	nic := &NIC{clock: clock, cost: cost, rings: make([]func(Packet), n)}
 	nic.deliverFn = func() {
-		ip := nic.inflight[nic.inflightHead]
-		nic.inflight[nic.inflightHead] = inflightPkt{}
-		nic.inflightHead++
-		if nic.inflightHead == len(nic.inflight) {
-			nic.inflight = nic.inflight[:0]
-			nic.inflightHead = 0
-		}
+		ip, _ := nic.inflight.PopFront()
 		nic.Handle(ip.ring, ip.p)
 	}
 	return nic
@@ -146,7 +133,7 @@ func (n *NIC) Handle(ring int, p Packet) {
 		return
 	}
 	n.delivered++
-	if n.obs != nil && p.Class >= 0 {
+	if n.obs != nil {
 		n.obs.PacketDelivered(p, ring, n.clock.Now())
 	}
 	h(p)
@@ -161,7 +148,7 @@ func (n *NIC) Deliver(p Packet) {
 	p.Seq = n.seq
 	p.Arrive = n.clock.Now()
 	ring := int(rssHash(p.Flow) % uint64(len(n.rings)))
-	if n.obs != nil && p.Class >= 0 {
+	if n.obs != nil {
 		n.obs.PacketArrived(p, ring)
 	}
 	if n.irqPost != nil {
@@ -170,7 +157,7 @@ func (n *NIC) Deliver(p Packet) {
 		return
 	}
 	delay := n.cost.NICPoll + n.cost.RingHop + n.cost.NetStack
-	n.inflight = append(n.inflight, inflightPkt{ring: ring, p: p})
+	n.inflight.PushBack(inflightPkt{ring: ring, p: p})
 	n.clock.After(delay, n.deliverFn)
 }
 

@@ -86,6 +86,69 @@ func TestNICDropsWithoutHandler(t *testing.T) {
 	}
 }
 
+// TestNICOverlappingDeliveriesStayInOrder sends packets closer together
+// than the datapath delay, so the in-flight queue never drains and its
+// buffer wraps many times: every packet must still reach its RSS ring
+// exactly once, in arrival order, exactly one delay after it arrived.
+func TestNICOverlappingDeliveriesStayInOrder(t *testing.T) {
+	const (
+		n     = 10_000
+		gap   = 100 * simtime.Nanosecond
+		rings = 4
+		flows = 7
+	)
+	clock := simtime.NewClock()
+	cost := cycles.Default()
+	delay := cost.NICPoll + cost.RingHop + cost.NetStack
+	if delay <= 2*gap {
+		t.Fatalf("delay %v must span several arrivals %v apart", delay, gap)
+	}
+	nic := NewNIC(clock, cost, rings)
+	var lastSeq uint64
+	perRing := make([]int, rings)
+	for i := 0; i < rings; i++ {
+		nic.OnRing(i, func(p Packet) {
+			if p.Seq != lastSeq+1 {
+				t.Fatalf("ring %d got seq %d after %d", i, p.Seq, lastSeq)
+			}
+			lastSeq = p.Seq
+			k := p.Seq - 1
+			if p.Arrive != simtime.Time(k)*gap {
+				t.Fatalf("seq %d arrived at %v, want %v", p.Seq, p.Arrive, simtime.Time(k)*gap)
+			}
+			if now := clock.Now(); now != p.Arrive+delay {
+				t.Fatalf("seq %d delivered at %v, want %v", p.Seq, now, p.Arrive+delay)
+			}
+			if p.Flow != k%flows || p.Service != simtime.Duration(k) {
+				t.Fatalf("seq %d carries another packet's fields: %+v", p.Seq, p)
+			}
+			if want := int(rssHash(p.Flow) % rings); i != want {
+				t.Fatalf("seq %d on ring %d, RSS says %d", p.Seq, i, want)
+			}
+			perRing[i]++
+		})
+	}
+	var sent uint64
+	var send func()
+	send = func() {
+		nic.Deliver(Packet{Flow: sent % flows, Service: simtime.Duration(sent)})
+		if sent++; sent < n {
+			clock.After(gap, send)
+		}
+	}
+	clock.At(0, send)
+	clock.Run(simtime.Infinity)
+	if lastSeq != n || nic.Delivered() != n || nic.Dropped() != 0 {
+		t.Fatalf("delivered through seq %d, counters %d/%d, want %d/0",
+			lastSeq, nic.Delivered(), nic.Dropped(), n)
+	}
+	for i, c := range perRing {
+		if c == 0 {
+			t.Fatalf("ring %d received nothing: %v", i, perRing)
+		}
+	}
+}
+
 // fakeWaker records external wakes.
 type fakeWaker struct{ woken []*sched.Thread }
 

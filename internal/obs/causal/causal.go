@@ -256,10 +256,9 @@ func (t *Tracer) PacketDelivered(p netsim.Packet, ring int, at simtime.Time) {
 
 // --- server.CausalTracer: binding and reply ---
 
-// BindPacket binds the journey for NIC packet seq to the serving thread at
-// instant at: the spawned handler thread (thread-per-request, at delivery)
-// or the pool worker that popped it from the ingress ring. The interval
-// [delivered, bind] is ingress-ring residency — a queue edge.
+// BindPacket binds the journey for NIC packet seq to its serving thread at
+// instant at. The interval [delivered, bind] is ingress-ring residency — a
+// queue edge, zero when the thread is spawned at delivery.
 func (t *Tracer) BindPacket(seq uint64, task int, at simtime.Time) {
 	if j := t.bySeq[seq]; j != nil {
 		t.bind(j, task, at)
@@ -311,7 +310,7 @@ func (t *Tracer) bind(j *journey, task int, at simtime.Time) {
 	j.b.Queue += at - j.deliver
 	t.byTask[task] = j
 	if t.onCPU[task] {
-		// Pool worker mid-run: the journey is on-CPU from the bind on.
+		// Bound mid-run: the journey is on-CPU from the bind on.
 		j.running = true
 		j.onSince = at
 	} else {

@@ -129,6 +129,3 @@ func (p *Policy) idealSlice(cpu int) simtime.Duration {
 }
 
 func (p *Policy) SchedBalance(cpu int) *sched.Thread { return nil }
-
-// QueueLen reports cpu's backlog (for tests).
-func (p *Policy) QueueLen(cpu int) int { return len(p.rq[cpu].tasks) }

@@ -52,9 +52,6 @@ func (p *Policy) SetRelative(t *sched.Thread, d simtime.Duration) {
 	td(t).relative = d
 }
 
-// Deadline reports a task's current absolute deadline (for tests).
-func (p *Policy) Deadline(t *sched.Thread) simtime.Time { return td(t).deadline }
-
 func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags core.EnqueueFlags) {
 	d := td(t)
 	if flags&(core.EnqNew|core.EnqWakeup) != 0 {
@@ -118,6 +115,3 @@ func (p *Policy) SchedBalance(cpu int) *sched.Thread {
 	p.rq[bestCPU] = append(q[:bestIdx], q[bestIdx+1:]...)
 	return t
 }
-
-// QueueLen reports cpu's backlog (for tests).
-func (p *Policy) QueueLen(cpu int) int { return len(p.rq[cpu]) }

@@ -174,6 +174,3 @@ func (p *Policy) TaskBlock(cpu int, t *sched.Thread) {
 		d.lag = -limit
 	}
 }
-
-// QueueLen reports cpu's backlog (for tests).
-func (p *Policy) QueueLen(cpu int) int { return len(p.rq[cpu].tasks) }

@@ -160,12 +160,3 @@ func (p *Policy) SchedBalance(cpu int) *sched.Thread {
 
 // Level reports a task's current level (for tests).
 func (p *Policy) Level(t *sched.Thread) int { return td(t).level }
-
-// QueueLen reports cpu's total backlog (for tests).
-func (p *Policy) QueueLen(cpu int) int {
-	n := 0
-	for lvl := range p.rq[cpu].levels {
-		n += p.rq[cpu].levels[lvl].Len()
-	}
-	return n
-}

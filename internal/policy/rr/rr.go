@@ -64,6 +64,3 @@ func (p *Policy) SchedTimerTick(cpu int, curr *sched.Thread, ranFor simtime.Dura
 }
 
 func (p *Policy) SchedBalance(cpu int) *sched.Thread { return nil }
-
-// QueueLen reports cpu's backlog (for tests).
-func (p *Policy) QueueLen(cpu int) int { return p.rq[cpu].Len() }

@@ -92,6 +92,3 @@ func (p *Policy) SchedBalance(cpu int) *sched.Thread {
 
 // Steals reports successful steals.
 func (p *Policy) Steals() uint64 { return p.steals }
-
-// QueueLen reports cpu's backlog (for tests).
-func (p *Policy) QueueLen(cpu int) int { return p.rq[cpu].Len() }

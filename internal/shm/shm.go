@@ -109,7 +109,6 @@ func (p *Pool) Free(idx int32) {
 // InUse reports currently allocated slots; HighWater the maximum ever.
 func (p *Pool) InUse() int     { return p.inUse }
 func (p *Pool) HighWater() int { return p.high }
-func (p *Pool) Cap() int       { return len(p.slots) }
 
 func (p *Pool) check(idx int32) {
 	if idx < 0 || int(idx) >= len(p.slots) {

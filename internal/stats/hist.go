@@ -205,9 +205,8 @@ func (h *Hist) QuantileFloor(q float64) simtime.Duration {
 	return h.max
 }
 
-// P50, P90, P99, P999 are convenience accessors for common tail quantiles.
+// P50, P99, P999 are convenience accessors for common tail quantiles.
 func (h *Hist) P50() simtime.Duration  { return h.Quantile(0.50) }
-func (h *Hist) P90() simtime.Duration  { return h.Quantile(0.90) }
 func (h *Hist) P99() simtime.Duration  { return h.Quantile(0.99) }
 func (h *Hist) P999() simtime.Duration { return h.Quantile(0.999) }
 
