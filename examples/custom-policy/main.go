@@ -39,7 +39,7 @@ func (p *prioPolicy) SchedInit(ncpu int) {
 func (p *prioPolicy) TaskInit(*sched.Thread)      {}
 func (p *prioPolicy) TaskTerminate(*sched.Thread) {}
 
-func (p *prioPolicy) TaskEnqueue(cpu int, t *sched.Thread, _ core.EnqueueFlags) {
+func (p *prioPolicy) TaskEnqueue(cpu int, t *sched.Thread, _ policy.EnqueueFlags) {
 	if p.prioOf(t) == 0 {
 		p.high[cpu].PushBack(t)
 	} else {

@@ -40,7 +40,7 @@ func TestLinuxVariantsTable5(t *testing.T) {
 	if p := linuxsim.RRDefault.Params(); p.RRTimeslice != 100*simtime.Millisecond {
 		t.Errorf("RR default slice = %v", p.RRTimeslice)
 	}
-	if p := linuxsim.CFSTuned.Params(); p.MinGranularity != 12500 || p.SchedLatency != 50*simtime.Microsecond {
+	if p := linuxsim.CFSTuned.Params(); p.CFS.MinGranularity != 12500 || p.CFS.SchedLatency != 50*simtime.Microsecond {
 		t.Errorf("tuned CFS params wrong: %+v", p)
 	}
 	if len(linuxsim.Variants()) != 5 {

@@ -8,7 +8,6 @@ package linuxsim
 import (
 	"skyloft/internal/hw"
 	"skyloft/internal/ksched"
-	"skyloft/internal/simtime"
 )
 
 // Variant names a Table 5 Linux configuration.
@@ -45,22 +44,12 @@ func (v Variant) Class() ksched.Class {
 // Params reports the Table 5 parameters for a variant.
 func (v Variant) Params() ksched.Params {
 	switch v {
-	case RRDefault:
-		p := ksched.DefaultParams()
-		p.RRTimeslice = 100 * simtime.Millisecond
-		return p
-	case CFSDefault:
-		return ksched.DefaultParams()
-	case CFSTuned:
+	case CFSTuned, EEVDFTuned:
 		return ksched.TunedParams()
 	case EEVDFDefault:
+		// The stock 3 ms base slice, on a HZ=1000 kernel.
 		p := ksched.DefaultParams()
 		p.HZ = 1000
-		p.BaseSlice = 3 * simtime.Millisecond
-		return p
-	case EEVDFTuned:
-		p := ksched.TunedParams()
-		p.BaseSlice = 12500 * simtime.Nanosecond
 		return p
 	default:
 		return ksched.DefaultParams()

@@ -7,6 +7,7 @@ import (
 	"skyloft/internal/baseline/linuxsim"
 	"skyloft/internal/core"
 	"skyloft/internal/cycles"
+	"skyloft/internal/policy"
 	"skyloft/internal/policy/cfs"
 	"skyloft/internal/policy/eevdf"
 	"skyloft/internal/policy/fifo"
@@ -38,7 +39,7 @@ const (
 // SkyloftScheds lists the Fig. 5 Skyloft configurations.
 func SkyloftScheds() []SkyloftSched { return []SkyloftSched{SkyloftRR, SkyloftCFS, SkyloftEEVDF} }
 
-func skyloftPolicy(s SkyloftSched, slice simtime.Duration) core.Policy {
+func skyloftPolicy(s SkyloftSched, slice simtime.Duration) policy.Policy {
 	switch s {
 	case SkyloftRR:
 		if slice <= 0 {

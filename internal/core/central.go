@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"skyloft/internal/det"
+	"skyloft/internal/policy"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
 	"skyloft/internal/trace"
@@ -26,7 +27,7 @@ type allocState struct {
 // centralSubmit enqueues a runnable task. Best-effort tasks go to their
 // app's side queue when core allocation is active; everything else goes to
 // the dispatcher's global queue.
-func (e *Engine) centralSubmit(t *sched.Thread, flags EnqueueFlags) {
+func (e *Engine) centralSubmit(t *sched.Thread, flags policy.EnqueueFlags) {
 	if ca := e.cfg.CoreAlloc; ca != nil && t.App != ca.LCApp {
 		if e.allocState.beQueues == nil {
 			e.allocState.beQueues = make(map[int][]*sched.Thread)
@@ -197,7 +198,7 @@ func (e *Engine) preemptWorker(c *coreCtx, ranFor simtime.Duration, _ any) {
 		e.leaseReturn(c)
 	} else {
 		t.EnqueuedAt = e.m.Now()
-		e.central.Enqueue(t, EnqPreempted)
+		e.central.Enqueue(t, policy.EnqPreempted)
 	}
 	e.qUp()
 	e.workerBecameIdle(c)

@@ -3,9 +3,9 @@
 // user-level threads as the unit of scheduling, delegates per-core LAPIC
 // timer interrupts to user space through the modelled UINTR hardware
 // (§3.2), schedules threads from multiple applications over a shared
-// runqueue under the Single Binding Rule (§3.3), and exposes the Table 2
-// scheduling-operations interface so that policies are a few hundred lines
-// (Table 4).
+// runqueue under the Single Binding Rule (§3.3), and drives policies
+// through the Table 2 scheduling-operations interface (policy.Policy), so
+// that each is a few hundred lines (Table 4).
 //
 // The engine also powers the paper's comparison systems: ghOSt, Shenango
 // and Shinjuku differ from Skyloft in decision costs, preemption mechanism
@@ -20,6 +20,7 @@ import (
 	"skyloft/internal/kmod"
 	"skyloft/internal/lease"
 	"skyloft/internal/netsim"
+	"skyloft/internal/policy"
 	"skyloft/internal/proc"
 	"skyloft/internal/rng"
 	"skyloft/internal/sched"
@@ -94,7 +95,7 @@ type Config struct {
 	// dispatcher; in TimerUtimer mode CPUs[0] is the utimer core.
 	CPUs      []int
 	Mode      Mode
-	Policy    Policy        // PerCPU mode
+	Policy    policy.Policy // PerCPU mode
 	Central   CentralPolicy // Centralized mode
 	Costs     EngineCosts
 	TimerMode TimerMode
@@ -140,7 +141,8 @@ type Engine struct {
 	cfg  Config
 
 	mode    Mode
-	policy  Policy
+	policy  policy.Policy
+	blocker policy.BlockNotifier // policy's task_block hook, if any
 	central CentralPolicy
 
 	cores   []*coreCtx // worker cores
@@ -338,7 +340,8 @@ type coreCtx struct {
 	send      *uintrsim.Sender
 	deleg     *uintrsim.TimerDelegation
 	curr      *sched.Thread
-	lastRanID int // ID of the last task that ran here (0 = none)
+	pickCPU   simtime.Duration // curr's CPUTime when startTask picked it
+	lastRanID int              // ID of the last task that ran here (0 = none)
 	currApp   int
 	idle      bool // written only by setIdle
 
@@ -424,6 +427,7 @@ func New(cfg Config) *Engine {
 		WakeupHist: stats.NewHist(),
 		tr:         cfg.Trace,
 	}
+	e.blocker, _ = cfg.Policy.(policy.BlockNotifier)
 
 	workerCPUs := cfg.CPUs
 	needSpecial := cfg.Mode == Centralized || cfg.TimerMode == TimerUtimer
@@ -594,7 +598,7 @@ func (e *Engine) NewApp(name string) *App {
 func (a *App) Start(name string, body sched.Func) *sched.Thread {
 	t := a.e.newThread(a, name, body)
 	t.State = sched.Runnable
-	a.e.submit(t, EnqNew)
+	a.e.submit(t, policy.EnqNew)
 	return t
 }
 
@@ -617,7 +621,7 @@ func (a *App) StartQuick(name string, service simtime.Duration, onDone func(now 
 	e.live = append(e.live, u)
 	a.live++
 	t.State = sched.Runnable
-	e.submit(t, EnqNew)
+	e.submit(t, policy.EnqNew)
 	return t
 }
 
@@ -740,7 +744,7 @@ func (e *Engine) qDown() {
 }
 
 // submit makes a runnable task visible to the scheduler.
-func (e *Engine) submit(t *sched.Thread, flags EnqueueFlags) {
+func (e *Engine) submit(t *sched.Thread, flags policy.EnqueueFlags) {
 	if e.mode == Centralized {
 		e.centralSubmit(t, flags)
 		return
@@ -816,6 +820,7 @@ func (e *Engine) startTask(c *coreCtx, t *sched.Thread) {
 	ep := c.epoch
 	t.State = sched.Running
 	t.LastCPU = c.idx
+	c.pickCPU = t.CPUTime
 	cost := e.ec.Pick
 	if c.lastRanID != t.ID {
 		cost += e.ec.Switch
@@ -896,7 +901,7 @@ func (e *Engine) wake(from *coreCtx, t *sched.Thread) {
 	t.WokenAt = e.m.Now()
 	t.WakeArmed = true
 	e.emit(trace.Wake, -1, t, 0)
-	e.submit(t, EnqWakeup)
+	e.submit(t, policy.EnqWakeup)
 }
 
 // ---- interrupt handling ----
@@ -948,7 +953,7 @@ func (e *Engine) onTick(c *coreCtx, ranFor simtime.Duration) {
 	}
 	c.tickTask = t
 	c.tickEpoch = c.epoch
-	c.tickPreempt = t != nil && !c.inRuntime && e.policy.SchedTimerTick(c.idx, t, ranFor)
+	c.tickPreempt = t != nil && !c.inRuntime && e.policy.SchedTimerTick(c.idx, t, t.CPUTime-c.pickCPU)
 	c.tickRanFor = ranFor
 	c.hwc.Exec(rearm, c.tickCont)
 }
@@ -971,7 +976,7 @@ func (e *Engine) tickResume(c *coreCtx) {
 			e.emit(trace.Preempt, c.idx, t, int64(ranFor))
 		}
 		t.State = sched.Runnable
-		e.policy.TaskEnqueue(c.idx, t, EnqPreempted)
+		e.policy.TaskEnqueue(c.idx, t, policy.EnqPreempted)
 		e.qUp()
 		c.setCurr(nil)
 		e.scheduleNext(c)
@@ -1071,9 +1076,9 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 			t.State = sched.Runnable
 			c.setCurr(nil)
 			if e.mode == Centralized {
-				e.centralSubmit(t, EnqYield)
+				e.centralSubmit(t, policy.EnqYield)
 			} else {
-				e.policy.TaskEnqueue(c.idx, t, EnqYield)
+				e.policy.TaskEnqueue(c.idx, t, policy.EnqYield)
 				e.qUp()
 			}
 			e.scheduleNext(c)
@@ -1085,15 +1090,14 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 			}
 			t.State = sched.Blocked
 			e.emit(trace.Block, c.idx, t, 0)
-			if bn, ok := e.policy.(BlockNotifier); ok && c.idx >= 0 {
-				bn.TaskBlock(c.idx, t)
-			}
+			e.taskBlock(c, t)
 			c.setCurr(nil)
 			e.scheduleNext(c)
 			return
 		case *sched.SleepReq:
 			e.emit(trace.Sleep, c.idx, t, int64(r.D))
 			t.State = sched.Sleeping
+			e.taskBlock(c, t)
 			u := ut(t)
 			u.sleepEv = e.m.Clock.After(r.D, u.sleepFn)
 			c.setCurr(nil)
@@ -1105,6 +1109,7 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 			c.hwc.Exec(e.cost.Syscall/2, nil)
 			e.emit(trace.Sleep, c.idx, t, int64(r.D))
 			t.State = sched.Sleeping
+			e.taskBlock(c, t)
 			u := ut(t)
 			u.sleepEv = e.m.Clock.After(r.D, u.sleepFn)
 			c.setCurr(nil)
@@ -1133,12 +1138,12 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 				c.inRuntime = true
 				c.hwc.Exec(e.ec.Spawn, func() {
 					c.inRuntime = false
-					e.submit(child, EnqNew)
+					e.submit(child, policy.EnqNew)
 					e.resumeThread(c, t, child)
 				})
 				return
 			}
-			e.submit(child, EnqNew)
+			e.submit(child, policy.EnqNew)
 			resp = child
 		case *sched.WakeReq:
 			target := r.T
@@ -1158,6 +1163,14 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 		default:
 			panic(fmt.Sprintf("core: unknown request %T", req))
 		}
+	}
+}
+
+// taskBlock runs the policy's task_block hook as c's running task t leaves
+// the runnable set: it blocks, sleeps or waits for I/O.
+func (e *Engine) taskBlock(c *coreCtx, t *sched.Thread) {
+	if e.blocker != nil && c.idx >= 0 {
+		e.blocker.TaskBlock(c.idx, t)
 	}
 }
 

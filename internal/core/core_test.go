@@ -15,13 +15,10 @@ import (
 type testFIFO struct {
 	quantum simtime.Duration
 	rq      []policy.Deque
-	seen    map[*sched.Thread]simtime.Duration
 	placer  policy.Placer
 }
 
-func newTestFIFO(q simtime.Duration) *testFIFO {
-	return &testFIFO{quantum: q, seen: map[*sched.Thread]simtime.Duration{}}
-}
+func newTestFIFO(q simtime.Duration) *testFIFO { return &testFIFO{quantum: q} }
 
 func (p *testFIFO) Name() string                    { return "test-fifo" }
 func (p *testFIFO) SchedInit(n int)                 { p.rq = make([]policy.Deque, n) }
@@ -32,15 +29,11 @@ func (p *testFIFO) TaskDequeue(c int) *sched.Thread { return p.rq[c].PopFront() 
 func (p *testFIFO) PickCPU(t *sched.Thread, idle []bool) int {
 	return p.placer.Pick(t, idle)
 }
-func (p *testFIFO) TaskEnqueue(c int, t *sched.Thread, f EnqueueFlags) {
-	p.seen[t] = t.CPUTime
+func (p *testFIFO) TaskEnqueue(c int, t *sched.Thread, f policy.EnqueueFlags) {
 	p.rq[c].PushBack(t)
 }
-func (p *testFIFO) SchedTimerTick(c int, t *sched.Thread, ran simtime.Duration) bool {
-	if p.quantum <= 0 {
-		return false
-	}
-	return t.CPUTime-p.seen[t] >= p.quantum && p.rq[c].Len() > 0
+func (p *testFIFO) SchedTimerTick(c int, t *sched.Thread, slice simtime.Duration) bool {
+	return p.quantum > 0 && slice >= p.quantum && p.rq[c].Len() > 0
 }
 
 func newEngine(t *testing.T, cfg Config) *Engine {
@@ -259,7 +252,7 @@ type testCentral struct {
 }
 
 func (p *testCentral) Name() string { return "test-central" }
-func (p *testCentral) Enqueue(t *sched.Thread, f EnqueueFlags) {
+func (p *testCentral) Enqueue(t *sched.Thread, f policy.EnqueueFlags) {
 	p.q = append(p.q, t)
 }
 func (p *testCentral) Dequeue() *sched.Thread {

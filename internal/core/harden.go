@@ -1,6 +1,7 @@
 package core
 
 import (
+	"skyloft/internal/policy"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
 	"skyloft/internal/trace"
@@ -153,7 +154,7 @@ func (e *Engine) watchdogPreempt(c *coreCtx) bool {
 	e.preemptions++
 	e.emit(trace.Preempt, c.idx, t, int64(ranFor))
 	t.State = sched.Runnable
-	e.policy.TaskEnqueue(c.idx, t, EnqPreempted)
+	e.policy.TaskEnqueue(c.idx, t, policy.EnqPreempted)
 	e.qUp()
 	c.setCurr(nil)
 	e.scheduleNext(c)

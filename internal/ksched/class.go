@@ -1,13 +1,17 @@
 package ksched
 
 import (
+	"skyloft/internal/policy"
 	"skyloft/internal/sched"
-	"skyloft/internal/simtime"
 )
 
-// This file implements the per-class scheduling logic: pick-next, tick
-// preemption, wakeup placement, and wakeup preemption for CFS, SCHED_RR,
-// SCHED_FIFO, EEVDF and SCHED_BATCH.
+// This file implements the per-class scheduling rules: pick-next, tick
+// preemption and wakeup preemption. SCHED_RR and SCHED_FIFO live here; the
+// fair classes (CFS, SCHED_BATCH, EEVDF) are the kernel's one fair policy,
+// policy/cfs or policy/eevdf, driven through its Table 2 operations.
+
+// rt reports whether c is a real-time class.
+func (c Class) rt() bool { return c == ClassRR || c == ClassFIFO }
 
 // pickNext implements __schedule()'s class iteration: the real-time classes
 // (RR/FIFO) always beat the fair classes.
@@ -18,182 +22,61 @@ func (c *cpu) pickNext() *sched.Thread {
 		c.k.runqDepth--
 		return t
 	}
-	t := c.pickFair()
-	if t != nil {
-		c.k.runqDepth--
-	}
-	return t
-}
-
-// pickFair selects from the fair runnable set. CFS and BATCH pick the
-// smallest vruntime; EEVDF picks the earliest virtual deadline among
-// eligible entities (lag >= 0, i.e. vruntime <= weighted average).
-func (c *cpu) pickFair() *sched.Thread {
-	if len(c.fair) == 0 {
+	if c.nfair == 0 {
 		return nil
 	}
-	best := -1
-	switch kt(c.fair[0]).class {
-	case ClassEEVDF:
-		avg := c.avgVruntime()
-		bestDl := 0.0
-		for i, t := range c.fair {
-			k := kt(t)
-			if k.vruntime > avg+1e-9 {
-				continue // not eligible
-			}
-			if best == -1 || k.deadline < bestDl {
-				best, bestDl = i, k.deadline
-			}
-		}
-		if best == -1 {
-			// No eligible entity (numeric corner): fall back to the
-			// smallest vruntime so the CPU never idles with work queued.
-			best = c.minVruntimeIndex()
-		}
-	default:
-		best = c.minVruntimeIndex()
-	}
-	t := c.fair[best]
-	c.fair = append(c.fair[:best], c.fair[best+1:]...)
-	return t
-}
-
-func (c *cpu) minVruntimeIndex() int {
-	best := 0
-	for i, t := range c.fair {
-		if kt(t).vruntime < kt(c.fair[best]).vruntime {
-			best = i
-		}
-	}
-	return best
-}
-
-// avgVruntime approximates EEVDF's weighted average vruntime over the
-// runnable set plus the current thread (all weights equal here).
-func (c *cpu) avgVruntime() float64 {
-	var sum float64
-	var n int
-	for _, t := range c.fair {
-		sum += kt(t).vruntime
-		n++
-	}
-	if c.curr != nil && kt(c.curr).class == ClassEEVDF {
-		sum += kt(c.curr).vruntime
-		n++
-	}
-	if n == 0 {
-		return c.minVruntime
-	}
-	return sum / float64(n)
+	c.nfair--
+	c.k.runqDepth--
+	return c.k.fair.TaskDequeue(c.idx)
 }
 
 // classTick reports whether the current thread should be preempted at this
-// tick (the class's task_tick hook).
+// tick (the class's task_tick hook). The slice is the time since the pick,
+// switch and interrupt time included, as Linux's tick accounting sees it.
 func (c *cpu) classTick(t *sched.Thread) bool {
-	k := kt(t)
 	ran := c.now() - c.pickedAt
-	switch k.class {
+	switch kt(t).class {
 	case ClassFIFO:
 		return false // runs until it blocks or a higher class arrives
 	case ClassRR:
 		return ran >= c.k.params.RRTimeslice && len(c.rt) > 0
-	case ClassEEVDF:
-		if len(c.fair) == 0 {
-			return false
-		}
-		if ran < c.k.params.BaseSlice {
-			return false
-		}
-		// Slice exhausted: push the deadline and re-pick.
-		k.deadline = k.vruntime + float64(c.k.params.BaseSlice)
-		return true
-	default: // CFS, BATCH
-		if len(c.fair) == 0 {
-			return false
-		}
-		return ran >= c.idealSlice()
-	}
-}
-
-// idealSlice is CFS's sched_slice(): the latency target divided across the
-// runnable tasks, floored at min_granularity.
-func (c *cpu) idealSlice() simtime.Duration {
-	nr := len(c.fair) + 1
-	s := c.k.params.SchedLatency / simtime.Duration(nr)
-	if s < c.k.params.MinGranularity {
-		s = c.k.params.MinGranularity
-	}
-	return s
-}
-
-// placeFair is place_entity(): adjust a waking thread's virtual time
-// bookkeeping before insertion.
-func (c *cpu) placeFair(k *kthread) {
-	switch k.class {
-	case ClassEEVDF:
-		// EEVDF preserves lag across sleeps: place relative to the
-		// current average so the entity neither gains nor loses service.
-		avg := c.avgVruntime()
-		k.vruntime = avg - k.lag
-		k.deadline = k.vruntime + float64(c.k.params.BaseSlice)
 	default:
-		// CFS sleeper credit (GENTLE_FAIR_SLEEPERS): at most half the
-		// latency target, and never moving vruntime backwards.
-		credit := float64(c.k.params.SchedLatency) / 2
-		if v := c.minVruntime - credit; v > k.vruntime {
-			k.vruntime = v
-		}
+		return c.k.fair.SchedTimerTick(c.idx, t, ran)
 	}
 }
 
-// noteDequeue records class state when a thread leaves the runnable set
-// (blocks or sleeps) — EEVDF saves its lag here.
-func (c *cpu) noteDequeue(t *sched.Thread) {
-	k := kt(t)
-	if k.class != ClassEEVDF {
+// enqueue adds t to the appropriate class queue on this CPU.
+func (c *cpu) enqueue(t *sched.Thread, flags policy.EnqueueFlags) {
+	t.EnqueuedAt = c.now()
+	c.k.runqDepth++
+	if c.k.runqDepth > c.k.runqHighWater {
+		c.k.runqHighWater = c.k.runqDepth
+	}
+	if kt(t).class.rt() {
+		c.rt = append(c.rt, t)
 		return
 	}
-	lag := c.avgVruntime() - k.vruntime
-	limit := 2 * float64(c.k.params.BaseSlice)
-	if lag > limit {
-		lag = limit
+	c.k.fair.TaskEnqueue(c.idx, t, flags)
+	c.nfair++
+}
+
+// block tells the fair policy that the current thread t leaves the
+// runnable set (it blocks, sleeps or waits for I/O).
+func (c *cpu) block(t *sched.Thread) {
+	if !kt(t).class.rt() {
+		c.k.fair.TaskBlock(c.idx, t)
 	}
-	if lag < -limit {
-		lag = -limit
-	}
-	k.lag = lag
 }
 
 // shouldPreemptOnWake is check_preempt_curr(): does the woken thread
-// preempt this CPU's current thread immediately (via resched IPI)?
+// preempt this CPU's current thread immediately (via resched IPI)? RT
+// beats fair at once, and RT threads never preempt each other (RR waits
+// for the slice). Among fair threads SCHED_BATCH never wakeup-preempts;
+// otherwise the fair policy decides.
 func (c *cpu) shouldPreemptOnWake(woken *sched.Thread) bool {
-	curr := c.curr
-	if curr == nil {
-		return false
+	wc, cc := kt(woken).class, kt(c.curr).class
+	if wc.rt() || cc.rt() {
+		return wc.rt() && !cc.rt()
 	}
-	wc, cc := kt(woken).class, kt(curr).class
-	wRT := wc == ClassRR || wc == ClassFIFO
-	cRT := cc == ClassRR || cc == ClassFIFO
-	if wRT && !cRT {
-		return true // RT beats fair immediately
-	}
-	if !wRT && cRT {
-		return false
-	}
-	if wRT && cRT {
-		return false // same priority level: RR waits for the slice
-	}
-	if wc == ClassBatch {
-		return false // SCHED_BATCH never wakeup-preempts
-	}
-	switch cc {
-	case ClassEEVDF:
-		avg := c.avgVruntime()
-		w := kt(woken)
-		return w.vruntime <= avg+1e-9 && w.deadline < kt(curr).deadline
-	default:
-		vdiff := kt(curr).vruntime - kt(woken).vruntime
-		return vdiff > float64(c.k.params.WakeupGranularity)
-	}
+	return wc != ClassBatch && c.k.fair.CheckPreemptWake(c.idx, c.curr, woken)
 }

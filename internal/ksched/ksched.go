@@ -1,9 +1,14 @@
 // Package ksched simulates the Linux kernel's scheduling subsystem: kernel
-// threads, per-CPU runqueues with the CFS / SCHED_RR / SCHED_FIFO / EEVDF
-// classes, a CONFIG_HZ-bounded periodic tick, reschedule IPIs, and signal
-// delivery. It is the substrate for every Linux baseline in the paper's
-// evaluation (Fig. 5/6 Linux curves, the Linux CFS line in Fig. 7a) and for
-// the kernel-side costs that ghOSt pays.
+// threads, per-CPU runqueues with the CFS / SCHED_BATCH / SCHED_RR /
+// SCHED_FIFO / EEVDF classes, a CONFIG_HZ-bounded periodic tick, reschedule
+// IPIs, and signal delivery. It is the substrate for every Linux baseline
+// in the paper's evaluation (Fig. 5/6 Linux curves, the Linux CFS line in
+// Fig. 7a) and for the kernel-side costs that ghOSt pays.
+//
+// The fair classes run the same policy code as Skyloft: the kernel drives
+// policy/cfs (for CFS and SCHED_BATCH) or policy/eevdf through the Table 2
+// operations, so a Linux and a Skyloft cell of Fig. 5 differ only in
+// mechanism. SCHED_RR and SCHED_FIFO stay in this package.
 //
 // The crucial fidelity point for Fig. 5 is that preemption decisions are
 // only taken at timer ticks (plus explicit wakeup-preemption checks), and
@@ -18,6 +23,9 @@ import (
 	"skyloft/internal/cycles"
 	"skyloft/internal/hw"
 	"skyloft/internal/obs"
+	"skyloft/internal/policy"
+	"skyloft/internal/policy/cfs"
+	"skyloft/internal/policy/eevdf"
 	"skyloft/internal/proc"
 	"skyloft/internal/rng"
 	"skyloft/internal/sched"
@@ -52,25 +60,26 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", int8(c))
 }
 
-// Params are the tunables of paper Table 5.
+// Params are the tunables of paper Table 5. The fair classes' tunables are
+// their policies' own parameter structs.
 type Params struct {
-	HZ                int64            // CONFIG_HZ: periodic tick frequency
-	MinGranularity    simtime.Duration // CFS sched_min_granularity
-	SchedLatency      simtime.Duration // CFS sched_latency
-	WakeupGranularity simtime.Duration // CFS sched_wakeup_granularity
-	RRTimeslice       simtime.Duration // SCHED_RR quantum
-	BaseSlice         simtime.Duration // EEVDF base_slice
+	HZ          int64            // CONFIG_HZ: periodic tick frequency
+	RRTimeslice simtime.Duration // SCHED_RR quantum
+	CFS         cfs.Params       // CFS and SCHED_BATCH
+	EEVDF       eevdf.Params     // EEVDF base_slice
 }
 
 // DefaultParams is a stock distro kernel (Linux CFS default row of Table 5).
 func DefaultParams() Params {
 	return Params{
-		HZ:                250,
-		MinGranularity:    3 * simtime.Millisecond,
-		SchedLatency:      24 * simtime.Millisecond,
-		WakeupGranularity: 1 * simtime.Millisecond,
-		RRTimeslice:       100 * simtime.Millisecond,
-		BaseSlice:         3 * simtime.Millisecond,
+		HZ:          250,
+		RRTimeslice: 100 * simtime.Millisecond,
+		CFS: cfs.Params{
+			MinGranularity:    3 * simtime.Millisecond,
+			SchedLatency:      24 * simtime.Millisecond,
+			WakeupGranularity: 1 * simtime.Millisecond,
+		},
+		EEVDF: eevdf.Params{BaseSlice: 3 * simtime.Millisecond},
 	}
 }
 
@@ -79,9 +88,9 @@ func DefaultParams() Params {
 func TunedParams() Params {
 	p := DefaultParams()
 	p.HZ = 1000
-	p.MinGranularity = 12500 * simtime.Nanosecond // 12.5 µs
-	p.SchedLatency = 50 * simtime.Microsecond
-	p.BaseSlice = 12500 * simtime.Nanosecond
+	p.CFS.MinGranularity = 12500 * simtime.Nanosecond // 12.5 µs
+	p.CFS.SchedLatency = 50 * simtime.Microsecond
+	p.EEVDF.BaseSlice = 12500 * simtime.Nanosecond
 	return p
 }
 
@@ -103,8 +112,11 @@ type Config struct {
 	Machine *hw.Machine
 	CPUs    []int // core IDs this kernel schedules on (the taskset)
 	Params  Params
-	Class   Class // default class for spawned threads
-	Seed    uint64
+	// Class is the default class for spawned threads. ClassEEVDF makes
+	// policy/eevdf the kernel's fair policy; any other class makes it
+	// policy/cfs.
+	Class Class
+	Seed  uint64
 	// LentCPUs are additional core IDs the kernel may be lent at runtime
 	// (the cross-runtime lease protocol). They start offline — no IRQ
 	// handler claimed, no tick started; the lender owns the core and
@@ -127,6 +139,13 @@ type Kernel struct {
 	class  Class
 	cpus   []*cpu
 	rand   *rng.Rand
+
+	// fair schedules every CFS, SCHED_BATCH and EEVDF thread.
+	fair interface {
+		policy.Policy
+		policy.BlockNotifier
+		policy.WakePreempter
+	}
 
 	threads  []*sched.Thread
 	nextID   int
@@ -158,11 +177,6 @@ type kthread struct {
 	t     *sched.Thread
 	class Class
 
-	// fair-class state (CFS/EEVDF/Batch)
-	vruntime float64 // ns, weight-normalised
-	lag      float64 // EEVDF: lag preserved across sleeps
-	deadline float64 // EEVDF: virtual deadline
-
 	// pending signals delivered when next scheduled (or immediately if
 	// running).
 	pendingSignals []func()
@@ -182,8 +196,8 @@ type cpu struct {
 	pickedAt simtime.Time // when curr was given the CPU (slice start)
 	idle     bool
 
-	rt   []*sched.Thread // RR/FIFO queue (single priority level)
-	fair []*sched.Thread // CFS/EEVDF/Batch runnable set
+	rt    []*sched.Thread // RR/FIFO queue (single priority level)
+	nfair int             // fair threads queued in the fair policy
 
 	// offline marks a CPU outside the scheduling set: lent cores before
 	// Online and after a vacate. offlinePending defers a vacate IPI's
@@ -191,7 +205,6 @@ type cpu struct {
 	offline        bool
 	offlinePending bool
 
-	minVruntime float64
 	needResched bool
 	reschedSent bool
 	lastRan     *sched.Thread // for context-switch cost accounting
@@ -238,6 +251,11 @@ func New(cfg Config) *Kernel {
 		WakeupHist: stats.NewHist(),
 		liveProc:   make(map[*sched.Thread]*proc.P),
 	}
+	if cfg.Class == ClassEEVDF {
+		k.fair = eevdf.New(cfg.Params.EEVDF)
+	} else {
+		k.fair = cfs.New(cfg.Params.CFS)
+	}
 	k.idleSteal = cfg.IdleSteal
 	k.hasLent = len(cfg.LentCPUs) > 0
 	allCPUs := cfg.CPUs
@@ -278,6 +296,7 @@ func New(cfg Config) *Kernel {
 			c.hwc.Timer.StartHz(k.params.HZ, tickVector)
 		}
 	}
+	k.fair.SchedInit(len(k.cpus))
 	return k
 }
 
@@ -330,7 +349,7 @@ func (k *Kernel) StartClass(name string, class Class, body sched.Func) *sched.Th
 	t := k.newThread(name, class, body)
 	t.State = sched.Runnable
 	c := k.placeWakeup(t)
-	c.enqueue(t, false)
+	c.enqueue(t, policy.EnqNew)
 	k.kickIfIdle(c)
 	return t
 }
@@ -344,6 +363,9 @@ func (k *Kernel) newThread(name string, class Class, body sched.Func) *sched.Thr
 		k.wake(t)
 	}
 	t.EngData = kth
+	if !class.rt() {
+		k.fair.TaskInit(t)
+	}
 	env := &kenv{k: k, t: t}
 	p := k.procs.Get(name, func(c *proc.Ctx) {
 		env.ctx = c
@@ -465,7 +487,7 @@ func (c *cpu) afterIRQ() {
 		t := c.curr
 		c.setCurr(nil)
 		t.State = sched.Runnable
-		c.enqueue(t, false)
+		c.enqueue(t, policy.EnqPreempted)
 		c.schedule()
 		return
 	}
@@ -491,7 +513,8 @@ func (c *cpu) resumeCurr() {
 	c.hwc.StartRun(t.Remaining, c.runCont)
 }
 
-// account charges executed time to t's class bookkeeping.
+// account charges executed time to t; the fair policy folds CPUTime into
+// its virtual runtime when it next looks.
 func (c *cpu) account(t *sched.Thread, ran simtime.Duration) {
 	if ran <= 0 {
 		return
@@ -500,14 +523,6 @@ func (c *cpu) account(t *sched.Thread, ran simtime.Duration) {
 	t.Remaining -= ran
 	if t.Remaining < 0 {
 		t.Remaining = 0
-	}
-	k := kt(t)
-	switch k.class {
-	case ClassCFS, ClassBatch, ClassEEVDF:
-		k.vruntime += float64(ran)
-		if k.vruntime > c.minVruntime {
-			c.minVruntime = k.vruntime
-		}
 	}
 }
 
@@ -569,25 +584,6 @@ func (c *cpu) dispatch(t *sched.Thread) {
 	c.k.resumeThread(c, t, nil)
 }
 
-// enqueue adds t to the appropriate class queue on this CPU.
-func (c *cpu) enqueue(t *sched.Thread, wakeup bool) {
-	t.EnqueuedAt = c.now()
-	c.k.runqDepth++
-	if c.k.runqDepth > c.k.runqHighWater {
-		c.k.runqHighWater = c.k.runqDepth
-	}
-	k := kt(t)
-	switch k.class {
-	case ClassRR, ClassFIFO:
-		c.rt = append(c.rt, t)
-	default:
-		if wakeup {
-			c.placeFair(k)
-		}
-		c.fair = append(c.fair, t)
-	}
-}
-
 // kickIfIdle restarts an idle CPU's scheduling loop.
 func (k *Kernel) kickIfIdle(c *cpu) {
 	if !c.idle || c.offline {
@@ -637,7 +633,7 @@ func (k *Kernel) placeWakeup(t *sched.Thread) *cpu {
 	return best
 }
 
-func (c *cpu) queueLen() int { return len(c.rt) + len(c.fair) }
+func (c *cpu) queueLen() int { return len(c.rt) + c.nfair }
 
 // wake transitions a blocked/sleeping thread to runnable (try_to_wake_up).
 func (k *Kernel) wake(t *sched.Thread) {
@@ -658,7 +654,7 @@ func (k *Kernel) wake(t *sched.Thread) {
 	t.WokenAt = k.m.Now()
 	t.WakeArmed = true
 	c := k.placeWakeup(t)
-	c.enqueue(t, true)
+	c.enqueue(t, policy.EnqWakeup)
 	if c.idle {
 		k.kickIfIdle(c)
 		return
@@ -688,7 +684,7 @@ func (k *Kernel) ExternalWake(t *sched.Thread) { k.wake(t) }
 // parkFor puts the current thread to sleep for d and reschedules.
 func (c *cpu) parkFor(t *sched.Thread, d simtime.Duration) {
 	t.State = sched.Sleeping
-	c.noteDequeue(t)
+	c.block(t)
 	kth := kt(t)
 	kth.sleepEv = c.k.m.Clock.After(d, kth.sleepFn)
 	c.setCurr(nil)
@@ -714,7 +710,7 @@ func (k *Kernel) resumeThread(c *cpu, t *sched.Thread, resp any) {
 			// switch that follows in schedule().
 			t.State = sched.Runnable
 			c.setCurr(nil)
-			c.enqueue(t, false)
+			c.enqueue(t, policy.EnqYield)
 			c.schedule()
 			return
 		case *sched.BlockReq:
@@ -723,7 +719,7 @@ func (k *Kernel) resumeThread(c *cpu, t *sched.Thread, resp any) {
 				continue
 			}
 			t.State = sched.Blocked
-			c.noteDequeue(t)
+			c.block(t)
 			c.setCurr(nil)
 			c.schedule()
 			return
@@ -751,7 +747,7 @@ func (k *Kernel) resumeThread(c *cpu, t *sched.Thread, resp any) {
 				c.inRuntime = false
 				child.State = sched.Runnable
 				tc := k.placeWakeup(child)
-				tc.enqueue(child, false)
+				tc.enqueue(child, policy.EnqNew)
 				k.kickIfIdle(tc)
 				k.resumeThread(c, t, child)
 			})
@@ -768,6 +764,9 @@ func (k *Kernel) resumeThread(c *cpu, t *sched.Thread, resp any) {
 			return
 		case proc.ExitRequest:
 			t.State = sched.Exited
+			if !k.classOf(t).rt() {
+				k.fair.TaskTerminate(t)
+			}
 			// Recycle the coroutine; thread-heavy workloads
 			// (schbench, thread-per-request servers) reuse it immediately.
 			k.procs.Put(k.liveProc[t])

@@ -86,7 +86,7 @@ func TestCFSPreemptsAtTickGranularity(t *testing.T) {
 	// 4ms tick and exceed min_granularity.
 	for i := 1; i < len(switches); i++ {
 		gap := switches[i] - switches[i-1]
-		if gap < p.MinGranularity/2 {
+		if gap < p.CFS.MinGranularity/2 {
 			t.Fatalf("switch gap %v below min granularity", gap)
 		}
 	}

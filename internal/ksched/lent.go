@@ -2,6 +2,7 @@ package ksched
 
 import (
 	"skyloft/internal/hw"
+	"skyloft/internal/policy"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
 )
@@ -108,7 +109,7 @@ func (c *cpu) doOffline() {
 		c.setCurr(nil)
 		t.State = sched.Runnable
 		target := c.k.placeWakeup(t)
-		target.enqueue(t, false)
+		target.enqueue(t, policy.EnqPreempted)
 		c.k.kickIfIdle(target)
 	} else {
 		c.setCurr(nil) // bump epoch: stale dispatch callbacks must not land
@@ -118,13 +119,14 @@ func (c *cpu) doOffline() {
 		target.rt = append(target.rt, t)
 		c.k.kickIfIdle(target)
 	}
-	for _, t := range c.fair {
+	c.rt = c.rt[:0]
+	for ; c.nfair > 0; c.nfair-- {
+		t := c.k.fair.TaskDequeue(c.idx)
 		target := c.k.migrateTarget(c)
-		target.fair = append(target.fair, t)
+		c.k.fair.TaskEnqueue(target.idx, t, policy.EnqPreempted)
+		target.nfair++
 		c.k.kickIfIdle(target)
 	}
-	c.rt = c.rt[:0]
-	c.fair = c.fair[:0]
 	if c.k.vacateHook != nil {
 		c.k.vacateHook(c.idx)
 	}
@@ -149,8 +151,9 @@ func (k *Kernel) migrateTarget(from *cpu) *cpu {
 }
 
 // stealOne implements newidle balancing (Config.IdleSteal): take one thread
-// from the busiest online CPU's queue tail. The caller dispatches it
-// immediately, so runqDepth drops exactly as pickNext would have dropped it.
+// from the busiest online CPU — its fair policy's next thread, or else its
+// RT queue's tail. The caller dispatches it immediately, so runqDepth drops
+// exactly as pickNext would have dropped it.
 func (k *Kernel) stealOne(c *cpu) *sched.Thread {
 	var src *cpu
 	for _, o := range k.cpus {
@@ -164,11 +167,13 @@ func (k *Kernel) stealOne(c *cpu) *sched.Thread {
 	if src == nil {
 		return nil
 	}
-	if n := len(src.fair); n > 0 {
-		t := src.fair[n-1]
-		src.fair = src.fair[:n-1]
+	if src.nfair > 0 {
+		// The stolen thread passes through c's queue, so the fair policy
+		// records it as c's running thread and src keeps its own.
+		src.nfair--
 		k.runqDepth--
-		return t
+		k.fair.TaskEnqueue(c.idx, k.fair.TaskDequeue(src.idx), policy.EnqPreempted)
+		return k.fair.TaskDequeue(c.idx)
 	}
 	n := len(src.rt)
 	t := src.rt[n-1]

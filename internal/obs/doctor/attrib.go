@@ -31,14 +31,6 @@ func (a AppAttribution) Total() simtime.Duration {
 	return a.Queue + a.TickQuant + a.PreemptDelay + a.Delivery
 }
 
-func (a AppAttribution) share(part simtime.Duration) float64 {
-	t := a.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(part) / float64(t)
-}
-
 // spanKey identifies a span by its opening dispatch, which is unique in a
 // valid trace (one dispatch per core per instant, one first-dispatch per
 // span).

@@ -14,7 +14,6 @@ package doctor
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"skyloft/internal/obs"
@@ -172,66 +171,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// WriteText renders the human-readable diagnosis: the windowed telemetry
-// table, the per-app tail attribution, and the findings. appNames may be
-// nil or shorter than the app ID range.
-func (r *Report) WriteText(w io.Writer, appNames []string) error {
-	name := func(app int) string {
-		if app >= 0 && app < len(appNames) && appNames[app] != "" {
-			return appNames[app]
-		}
-		if app < 0 {
-			return "system"
-		}
-		return fmt.Sprintf("app %d", app)
-	}
-	if _, err := fmt.Fprintf(w, "doctor: %d spans (%d incomplete, %d orphans) wakeup p50=%v p99=%v p99.9=%v\n",
-		r.Spans, r.Incomplete, r.Orphans, r.WakeP50, r.WakeP99, r.WakeP999); err != nil {
-		return err
-	}
-	if len(r.Windows) > 0 {
-		fmt.Fprintf(w, "windows (%v each):\n", r.Config.Window)
-		fmt.Fprintf(w, "  %-14s %10s %10s %10s %8s %8s %8s %8s\n",
-			"start", "thru(rps)", "wake-p50", "wake-p99", "runq-hw", "preempt", "steal", "wakes")
-		for _, ws := range r.Windows {
-			fmt.Fprintf(w, "  %-14v %10.0f %10v %10v %8d %8d %8d %8d\n",
-				ws.Start, ws.ThroughputRPS, ws.WakeP50, ws.WakeP99,
-				ws.RunqHighWater, ws.Preempts, ws.Steals, ws.Wakes)
-		}
-	}
-	if len(r.Attribution) > 0 {
-		fmt.Fprintf(w, "tail attribution (wakeup latency >= p%g = %v):\n",
-			100*r.Config.TailQuantile, r.tailThreshold())
-		fmt.Fprintf(w, "  %-12s %6s %12s %12s %12s %12s %12s\n",
-			"app", "spans", "queue", "tick-quant", "preempt", "delivery", "worst")
-		for _, a := range r.Attribution {
-			fmt.Fprintf(w, "  %-12s %6d %11.1f%% %11.1f%% %11.1f%% %11.1f%% %12v\n",
-				name(a.App), a.TailSpans, 100*a.share(a.Queue), 100*a.share(a.TickQuant),
-				100*a.share(a.PreemptDelay), 100*a.share(a.Delivery), a.MaxLatency)
-		}
-	}
-	if len(r.Findings) == 0 {
-		_, err := fmt.Fprintln(w, "findings: none")
-		return err
-	}
-	fmt.Fprintf(w, "findings: %d\n", len(r.Findings))
-	for _, f := range r.Findings {
-		scope := name(f.App)
-		if _, err := fmt.Fprintf(w, "  [%s] %s first=%v count=%d  %s\n",
-			f.Code, scope, f.FirstAt, f.Count, f.Evidence); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// tailThreshold recovers the latency cutoff the attribution pass used
-// (stored on the first attribution row; they all share it).
-func (r *Report) tailThreshold() simtime.Duration {
-	if len(r.Attribution) == 0 {
-		return 0
-	}
-	return r.Attribution[0].Threshold
 }

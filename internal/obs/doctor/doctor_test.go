@@ -321,19 +321,6 @@ func TestReportDeterministicJSON(t *testing.T) {
 	}
 }
 
-func TestWriteTextSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	r := Analyze(attribScenario(), nil, Config{TickPeriod: 10 * simtime.Microsecond, TailQuantile: 0.01})
-	if err := r.WriteText(&buf, []string{"lc"}); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"doctor:", "windows", "tail attribution", "lc"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("text report missing %q:\n%s", want, buf.String())
-		}
-	}
-}
-
 func findCode(fs []Finding, code string) (Finding, bool) {
 	for _, f := range fs {
 		if f.Code == code {

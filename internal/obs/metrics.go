@@ -13,7 +13,6 @@ import (
 	"io"
 	"sort"
 
-	"skyloft/internal/simtime"
 	"skyloft/internal/stats"
 )
 
@@ -193,25 +192,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// WriteText writes the snapshot as aligned name/value lines.
-func (r *Registry) WriteText(w io.Writer) error {
-	for _, s := range r.Snapshot() {
-		var err error
-		switch s.Kind {
-		case "gauge":
-			_, err = fmt.Fprintf(w, "%-40s %14g  high-water=%g\n", s.Name, s.Value, s.HighWater)
-		case "histogram":
-			_, err = fmt.Fprintf(w, "%-40s n=%-10d p50=%-10v p99=%-10v p99.9=%-10v max=%v\n",
-				s.Name, s.Count, simtime.Duration(s.P50), simtime.Duration(s.P99),
-				simtime.Duration(s.P999), simtime.Duration(s.Max))
-		default:
-			_, err = fmt.Fprintf(w, "%-40s %14g\n", s.Name, s.Value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

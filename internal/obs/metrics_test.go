@@ -91,12 +91,4 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	if len(got) != 3 || got[0].Name != "a" {
 		t.Fatalf("round-trip mismatch: %+v", got)
 	}
-
-	var text bytes.Buffer
-	if err := r.WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	if text.Len() == 0 {
-		t.Fatal("empty text snapshot")
-	}
 }

@@ -1,13 +1,14 @@
-// Package cfs is Skyloft's reimplementation of the Completely Fair
-// Scheduler (§5.1): per-CPU virtual-runtime ordering, a latency target
-// divided across runnable tasks (floored at min_granularity), and sleeper
-// credit on wakeup — but driven by 100 kHz user-space timer interrupts
-// rather than a 250–1000 Hz kernel tick, which is where the two-orders-of-
-// magnitude wakeup-latency win in Fig. 5 comes from.
+// Package cfs is the Completely Fair Scheduler (§5.1): per-CPU
+// virtual-runtime ordering, a latency target divided across runnable tasks
+// (floored at min_granularity), sleeper credit on wakeup, and wakeup
+// preemption past a granularity. It is the tree's one CFS: Skyloft runs it
+// from 100 kHz user-space timer interrupts, and the simulated kernel
+// (internal/ksched) runs it as its CFS and SCHED_BATCH classes from a
+// 250–1000 Hz tick, which is where the two-orders-of-magnitude
+// wakeup-latency gap in Fig. 5 comes from.
 package cfs
 
 import (
-	"skyloft/internal/core"
 	"skyloft/internal/policy"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
@@ -15,8 +16,9 @@ import (
 
 // Params mirror the CFS tunables of Table 5.
 type Params struct {
-	MinGranularity simtime.Duration
-	SchedLatency   simtime.Duration
+	MinGranularity    simtime.Duration // sched_min_granularity
+	SchedLatency      simtime.Duration // sched_latency
+	WakeupGranularity simtime.Duration // sched_wakeup_granularity
 }
 
 // DefaultParams is the paper's Skyloft CFS configuration: 12.5 µs
@@ -25,7 +27,8 @@ func DefaultParams() Params {
 	return Params{MinGranularity: 12500, SchedLatency: 50 * simtime.Microsecond}
 }
 
-// Policy implements core.Policy.
+// Policy implements policy.Policy, policy.BlockNotifier and
+// policy.WakePreempter.
 type Policy struct {
 	P      Params
 	rq     []runqueue
@@ -33,22 +36,27 @@ type Policy struct {
 }
 
 type runqueue struct {
-	tasks       []*sched.Thread
-	minVruntime float64
+	tasks []*sched.Thread
+	// high is the largest vruntime folded on this CPU, the base of
+	// wakeup placement.
+	high float64
+	// curr is the task running here: the one TaskDequeue returned, until
+	// it is enqueued, blocked or terminated.
+	curr *sched.Thread
 }
 
 // taskData is the policy-defined per-task field.
 type taskData struct {
-	vruntime  float64
-	sliceUsed simtime.Duration
-	seenCPU   simtime.Duration // CPUTime already folded into vruntime
+	vruntime float64
+	seenCPU  simtime.Duration // CPUTime already folded into vruntime
+	on       int              // 1 + the CPU whose curr this task is; 0 if none
 }
 
 func td(t *sched.Thread) *taskData { return t.PolData.(*taskData) }
 
-// fold charges any CPU time consumed since the last policy observation to
-// the task's virtual runtime and slice usage.
-func (p *Policy) fold(cpu int, t *sched.Thread) {
+// fold charges the CPU time t has used since its last fold to its vruntime
+// and to the high-water of the CPU it ran on.
+func (p *Policy) fold(t *sched.Thread) {
 	d := td(t)
 	delta := t.CPUTime - d.seenCPU
 	if delta <= 0 {
@@ -56,9 +64,25 @@ func (p *Policy) fold(cpu int, t *sched.Thread) {
 	}
 	d.seenCPU = t.CPUTime
 	d.vruntime += float64(delta)
-	d.sliceUsed += delta
-	if rq := &p.rq[cpu]; d.vruntime > rq.minVruntime {
-		rq.minVruntime = d.vruntime
+	if rq := &p.rq[t.LastCPU]; d.vruntime > rq.high {
+		rq.high = d.vruntime
+	}
+}
+
+// run records t as cpu's running task. A CPU that already has one is being
+// stolen from: its record stays, and t gets one when it is next picked.
+func (p *Policy) run(cpu int, t *sched.Thread) {
+	if rq := &p.rq[cpu]; rq.curr == nil {
+		rq.curr = t
+		td(t).on = cpu + 1
+	}
+}
+
+// leave ends t's record as a CPU's running task.
+func (p *Policy) leave(t *sched.Thread) {
+	if d := td(t); d.on > 0 {
+		p.rq[d.on-1].curr = nil
+		d.on = 0
 	}
 }
 
@@ -71,18 +95,24 @@ func (p *Policy) SchedInit(ncpu int) { p.rq = make([]runqueue, ncpu) }
 
 func (p *Policy) TaskInit(t *sched.Thread) { policy.ResetData[taskData](t) }
 
-func (p *Policy) TaskTerminate(t *sched.Thread) {}
+func (p *Policy) TaskTerminate(t *sched.Thread) {
+	p.fold(t)
+	p.leave(t)
+}
 
-func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags core.EnqueueFlags) {
+func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags policy.EnqueueFlags) {
+	p.fold(t)
+	p.leave(t)
 	rq := &p.rq[cpu]
-	p.fold(cpu, t)
-	d := td(t)
-	d.sliceUsed = 0
-	if flags&core.EnqWakeup != 0 || flags&core.EnqNew != 0 {
+	if flags&(policy.EnqWakeup|policy.EnqNew) != 0 {
 		// place_entity: sleeper credit of at most half the latency
-		// target, never moving vruntime backwards.
-		if v := rq.minVruntime - float64(p.P.SchedLatency)/2; v > d.vruntime {
-			d.vruntime = v
+		// target, never moving vruntime backwards. The high-water counts
+		// the running task's time up to now.
+		if rq.curr != nil {
+			p.fold(rq.curr)
+		}
+		if v := rq.high - float64(p.P.SchedLatency)/2; v > td(t).vruntime {
+			td(t).vruntime = v
 		}
 	}
 	rq.tasks = append(rq.tasks, t)
@@ -102,6 +132,7 @@ func (p *Policy) TaskDequeue(cpu int) *sched.Thread {
 	}
 	t := rq.tasks[best]
 	rq.tasks = append(rq.tasks[:best], rq.tasks[best+1:]...)
+	p.run(cpu, t)
 	return t
 }
 
@@ -109,16 +140,14 @@ func (p *Policy) PickCPU(t *sched.Thread, idle []bool) int {
 	return p.placer.Pick(t, idle)
 }
 
-// SchedTimerTick advances the current task's vruntime and preempts it when
-// its dynamic slice is used up and a leftward competitor exists.
-func (p *Policy) SchedTimerTick(cpu int, curr *sched.Thread, ranFor simtime.Duration) bool {
-	p.fold(cpu, curr)
-	if len(p.rq[cpu].tasks) == 0 {
-		return false
-	}
-	return td(curr).sliceUsed >= p.idealSlice(cpu)
+// SchedTimerTick preempts the running task once it has used its ideal
+// slice and a competitor is queued.
+func (p *Policy) SchedTimerTick(cpu int, curr *sched.Thread, slice simtime.Duration) bool {
+	return len(p.rq[cpu].tasks) > 0 && slice >= p.idealSlice(cpu)
 }
 
+// idealSlice is sched_slice(): the latency target divided across the
+// runnable tasks, floored at min_granularity.
 func (p *Policy) idealSlice(cpu int) simtime.Duration {
 	nr := len(p.rq[cpu].tasks) + 1
 	s := p.P.SchedLatency / simtime.Duration(nr)
@@ -129,3 +158,17 @@ func (p *Policy) idealSlice(cpu int) simtime.Duration {
 }
 
 func (p *Policy) SchedBalance(cpu int) *sched.Thread { return nil }
+
+// TaskBlock folds the suspending task's run, so later placement on its CPU
+// sees it.
+func (p *Policy) TaskBlock(cpu int, t *sched.Thread) {
+	p.fold(t)
+	p.leave(t)
+}
+
+// CheckPreemptWake preempts curr when its vruntime leads the woken task's
+// by more than the wakeup granularity.
+func (p *Policy) CheckPreemptWake(cpu int, curr, woken *sched.Thread) bool {
+	p.fold(curr)
+	return td(curr).vruntime-td(woken).vruntime > float64(p.P.WakeupGranularity)
+}

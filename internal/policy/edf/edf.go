@@ -7,13 +7,12 @@
 package edf
 
 import (
-	"skyloft/internal/core"
 	"skyloft/internal/policy"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
 )
 
-// Policy implements core.Policy.
+// Policy implements policy.Policy.
 type Policy struct {
 	// Relative is the deadline offset applied at wakeup; per-task
 	// overrides go through SetRelative.
@@ -52,9 +51,9 @@ func (p *Policy) SetRelative(t *sched.Thread, d simtime.Duration) {
 	td(t).relative = d
 }
 
-func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags core.EnqueueFlags) {
+func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags policy.EnqueueFlags) {
 	d := td(t)
-	if flags&(core.EnqNew|core.EnqWakeup) != 0 {
+	if flags&(policy.EnqNew|policy.EnqWakeup) != 0 {
 		// A new job: deadline anchors at its arrival.
 		d.deadline = t.EnqueuedAt + simtime.Time(d.relative)
 	}

@@ -1,13 +1,14 @@
-// Package eevdf is Skyloft's Earliest Eligible Virtual Deadline First
-// policy (§5.1), the principled replacement for CFS's heuristics adopted by
-// Linux v6.6: each task carries a lag (its fair-share service deficit) and
-// a virtual deadline; the scheduler runs the eligible task (lag >= 0) with
-// the earliest deadline. Table 4 credits Skyloft's EEVDF with 579 lines
-// against 7,102 in Linux v6.8.
+// Package eevdf is Earliest Eligible Virtual Deadline First (§5.1), the
+// principled replacement for CFS's heuristics adopted by Linux v6.6: each
+// task carries a lag (its fair-share service deficit) and a virtual
+// deadline; the scheduler runs the eligible task (lag >= 0) with the
+// earliest deadline. It is the tree's one EEVDF: Skyloft runs it from
+// user-space timer interrupts, and the simulated kernel (internal/ksched)
+// runs it as its EEVDF class. Table 4 credits Skyloft's EEVDF with 579
+// lines against 7,102 in Linux v6.8.
 package eevdf
 
 import (
-	"skyloft/internal/core"
 	"skyloft/internal/policy"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
@@ -23,7 +24,8 @@ type Params struct {
 // DefaultParams is the paper's Skyloft EEVDF configuration.
 func DefaultParams() Params { return Params{BaseSlice: 12500} }
 
-// Policy implements core.Policy.
+// Policy implements policy.Policy, policy.BlockNotifier and
+// policy.WakePreempter.
 type Policy struct {
 	P      Params
 	rq     []runqueue
@@ -32,18 +34,20 @@ type Policy struct {
 
 type runqueue struct {
 	tasks []*sched.Thread
-	// sum/n maintain the average vruntime over queued tasks — the zero
-	// point for eligibility.
-	sum float64
-	n   int
+	// high is the largest vruntime folded on this CPU, the zero point of
+	// a CPU with no task.
+	high float64
+	// curr is the task running here: the one TaskDequeue returned, until
+	// it is enqueued, blocked or terminated.
+	curr *sched.Thread
 }
 
 type taskData struct {
 	vruntime float64
 	deadline float64
 	lag      float64
-	seenCPU  simtime.Duration
-	slice    simtime.Duration
+	seenCPU  simtime.Duration // CPUTime already folded into vruntime
+	on       int              // 1 + the CPU whose curr this task is; 0 if none
 }
 
 func td(t *sched.Thread) *taskData { return t.PolData.(*taskData) }
@@ -62,22 +66,14 @@ func (p *Policy) SchedInit(ncpu int) { p.rq = make([]runqueue, ncpu) }
 
 func (p *Policy) TaskInit(t *sched.Thread) { policy.ResetData[taskData](t) }
 
-func (p *Policy) TaskTerminate(t *sched.Thread) {}
-
-func (rq *runqueue) avg(extra *taskData) float64 {
-	sum, n := rq.sum, rq.n
-	if extra != nil {
-		sum += extra.vruntime
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+func (p *Policy) TaskTerminate(t *sched.Thread) {
+	p.fold(t)
+	p.leave(t)
 }
 
-// fold charges CPU consumed since the last observation into vruntime.
-func fold(t *sched.Thread) {
+// fold charges the CPU time t has used since its last fold to its vruntime
+// and to the high-water of the CPU it ran on.
+func (p *Policy) fold(t *sched.Thread) {
 	d := td(t)
 	delta := t.CPUTime - d.seenCPU
 	if delta <= 0 {
@@ -85,23 +81,60 @@ func fold(t *sched.Thread) {
 	}
 	d.seenCPU = t.CPUTime
 	d.vruntime += float64(delta)
-	d.slice += delta
+	if rq := &p.rq[t.LastCPU]; d.vruntime > rq.high {
+		rq.high = d.vruntime
+	}
 }
 
-func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags core.EnqueueFlags) {
-	rq := &p.rq[cpu]
-	fold(t)
-	d := td(t)
-	d.slice = 0
-	if flags&(core.EnqWakeup|core.EnqNew) != 0 {
-		// Re-place relative to the current average, preserving the lag
-		// saved at block time — the defining property of EEVDF placement.
-		d.vruntime = rq.avg(nil) - d.lag
+// run records t as cpu's running task. A CPU that already has one is being
+// stolen from: its record stays, and t gets one when it is next picked.
+func (p *Policy) run(cpu int, t *sched.Thread) {
+	if rq := &p.rq[cpu]; rq.curr == nil {
+		rq.curr = t
+		td(t).on = cpu + 1
 	}
-	d.deadline = d.vruntime + float64(p.P.BaseSlice)
-	rq.tasks = append(rq.tasks, t)
-	rq.sum += d.vruntime
-	rq.n++
+}
+
+// leave ends t's record as a CPU's running task.
+func (p *Policy) leave(t *sched.Thread) {
+	if d := td(t); d.on > 0 {
+		p.rq[d.on-1].curr = nil
+		d.on = 0
+	}
+}
+
+// avg is the zero point for eligibility (Linux's avg_vruntime): the mean
+// vruntime of cpu's queued tasks and its running task, folded first, or
+// the CPU's high-water when it has neither.
+func (p *Policy) avg(cpu int) float64 {
+	rq := &p.rq[cpu]
+	var sum float64
+	for _, t := range rq.tasks {
+		sum += td(t).vruntime
+	}
+	n := len(rq.tasks)
+	if rq.curr != nil {
+		p.fold(rq.curr)
+		sum += td(rq.curr).vruntime
+		n++
+	}
+	if n == 0 {
+		return rq.high
+	}
+	return sum / float64(n)
+}
+
+func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags policy.EnqueueFlags) {
+	p.fold(t)
+	p.leave(t)
+	if flags&(policy.EnqWakeup|policy.EnqNew) != 0 {
+		// Place relative to the current average, preserving the lag
+		// saved at block time — the defining property of EEVDF placement.
+		d := td(t)
+		d.vruntime = p.avg(cpu) - d.lag
+		d.deadline = d.vruntime + float64(p.P.BaseSlice)
+	}
+	p.rq[cpu].tasks = append(p.rq[cpu].tasks, t)
 }
 
 // TaskDequeue picks the earliest virtual deadline among eligible tasks.
@@ -110,7 +143,7 @@ func (p *Policy) TaskDequeue(cpu int) *sched.Thread {
 	if len(rq.tasks) == 0 {
 		return nil
 	}
-	avg := rq.avg(nil)
+	avg := p.avg(cpu)
 	best := -1
 	for i, t := range rq.tasks {
 		d := td(t)
@@ -132,8 +165,7 @@ func (p *Policy) TaskDequeue(cpu int) *sched.Thread {
 	}
 	t := rq.tasks[best]
 	rq.tasks = append(rq.tasks[:best], rq.tasks[best+1:]...)
-	rq.sum -= td(t).vruntime
-	rq.n--
+	p.run(cpu, t)
 	return t
 }
 
@@ -141,31 +173,27 @@ func (p *Policy) PickCPU(t *sched.Thread, idle []bool) int {
 	return p.placer.Pick(t, idle)
 }
 
-// SchedTimerTick preempts the running task once it has consumed its base
-// slice and a competitor is queued; its deadline advances so it re-queues
-// behind tasks it has outrun.
-func (p *Policy) SchedTimerTick(cpu int, curr *sched.Thread, ranFor simtime.Duration) bool {
-	fold(curr)
-	rq := &p.rq[cpu]
-	if len(rq.tasks) == 0 {
+// SchedTimerTick preempts the running task once it has used its base slice
+// and a competitor is queued; its deadline advances so it re-queues behind
+// tasks it has outrun.
+func (p *Policy) SchedTimerTick(cpu int, curr *sched.Thread, slice simtime.Duration) bool {
+	p.fold(curr)
+	if len(p.rq[cpu].tasks) == 0 || slice < p.P.BaseSlice {
 		return false
 	}
 	d := td(curr)
-	if d.slice < p.P.BaseSlice {
-		return false
-	}
 	d.deadline = d.vruntime + float64(p.P.BaseSlice)
 	return true
 }
 
 func (p *Policy) SchedBalance(cpu int) *sched.Thread { return nil }
 
-// TaskBlock saves the blocking task's lag (task_block in Table 2), bounded
-// to ±2 slices as in the kernel implementation.
+// TaskBlock saves the blocking task's lag against the average (task_block
+// in Table 2), bounded to ±2 slices as in the kernel implementation.
 func (p *Policy) TaskBlock(cpu int, t *sched.Thread) {
-	fold(t)
+	p.fold(t)
 	d := td(t)
-	d.lag = p.rq[cpu].avg(d) - d.vruntime
+	d.lag = p.avg(cpu) - d.vruntime
 	limit := 2 * float64(p.P.BaseSlice)
 	if d.lag > limit {
 		d.lag = limit
@@ -173,4 +201,12 @@ func (p *Policy) TaskBlock(cpu int, t *sched.Thread) {
 	if d.lag < -limit {
 		d.lag = -limit
 	}
+	p.leave(t)
+}
+
+// CheckPreemptWake preempts curr when the woken task is eligible and has
+// the earlier deadline.
+func (p *Policy) CheckPreemptWake(cpu int, curr, woken *sched.Thread) bool {
+	w := td(woken)
+	return w.vruntime <= p.avg(cpu)+1e-9 && w.deadline < td(curr).deadline
 }

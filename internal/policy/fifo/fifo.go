@@ -4,13 +4,12 @@
 package fifo
 
 import (
-	"skyloft/internal/core"
 	"skyloft/internal/policy"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
 )
 
-// Policy implements core.Policy.
+// Policy implements policy.Policy.
 type Policy struct {
 	rq     []policy.Deque
 	placer policy.Placer
@@ -26,7 +25,7 @@ func (p *Policy) SchedInit(ncpu int) { p.rq = make([]policy.Deque, ncpu) }
 func (p *Policy) TaskInit(t *sched.Thread)      {}
 func (p *Policy) TaskTerminate(t *sched.Thread) {}
 
-func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags core.EnqueueFlags) {
+func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags policy.EnqueueFlags) {
 	p.rq[cpu].PushBack(t)
 }
 

@@ -7,7 +7,6 @@
 package mlfq
 
 import (
-	"skyloft/internal/core"
 	"skyloft/internal/policy"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
@@ -30,7 +29,7 @@ func DefaultParams() Params {
 	return Params{Levels: 4, BaseQuantum: 20 * simtime.Microsecond, BoostInterval: simtime.Millisecond}
 }
 
-// Policy implements core.Policy.
+// Policy implements policy.Policy.
 type Policy struct {
 	P      Params
 	rq     []cpuQueues // per CPU
@@ -74,10 +73,10 @@ func (p *Policy) quantum(level int) simtime.Duration {
 	return p.P.BaseQuantum << uint(level)
 }
 
-func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags core.EnqueueFlags) {
+func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags policy.EnqueueFlags) {
 	d := td(t)
 	d.seenCPU = t.CPUTime
-	if flags&(core.EnqNew|core.EnqWakeup) != 0 {
+	if flags&(policy.EnqNew|policy.EnqWakeup) != 0 {
 		// I/O-bound behaviour is rewarded: waking tasks re-enter at the
 		// top with a fresh quantum.
 		d.level = 0
@@ -122,8 +121,10 @@ func (p *Policy) PickCPU(t *sched.Thread, idle []bool) int {
 }
 
 // SchedTimerTick demotes a task that exhausted its level's quantum and
-// preempts it if anyone else (at any level) is waiting.
-func (p *Policy) SchedTimerTick(cpu int, curr *sched.Thread, ranFor simtime.Duration) bool {
+// preempts it if anyone else (at any level) is waiting. The allotment spans
+// re-enqueues, so the policy counts it itself instead of reading the
+// engine's slice.
+func (p *Policy) SchedTimerTick(cpu int, curr *sched.Thread, _ simtime.Duration) bool {
 	d := td(curr)
 	d.used += curr.CPUTime - d.seenCPU
 	d.seenCPU = curr.CPUTime

@@ -6,12 +6,13 @@ import (
 	"skyloft/internal/core"
 	"skyloft/internal/cycles"
 	"skyloft/internal/hw"
+	"skyloft/internal/policy"
 	"skyloft/internal/policy/mlfq"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
 )
 
-func newEngine(t *testing.T, p core.Policy, cpus int) *core.Engine {
+func newEngine(t *testing.T, p policy.Policy, cpus int) *core.Engine {
 	t.Helper()
 	list := make([]int, cpus)
 	for i := range list {

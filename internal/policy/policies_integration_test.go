@@ -9,6 +9,7 @@ import (
 	"skyloft/internal/core"
 	"skyloft/internal/cycles"
 	"skyloft/internal/hw"
+	"skyloft/internal/policy"
 	"skyloft/internal/policy/cfs"
 	"skyloft/internal/policy/eevdf"
 	"skyloft/internal/policy/fifo"
@@ -19,7 +20,7 @@ import (
 	"skyloft/internal/simtime"
 )
 
-func newEngine(t *testing.T, pol core.Policy, cpus int, hz int64) *core.Engine {
+func newEngine(t *testing.T, pol policy.Policy, cpus int, hz int64) *core.Engine {
 	t.Helper()
 	mode := core.TimerNone
 	if hz > 0 {

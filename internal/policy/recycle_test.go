@@ -4,13 +4,11 @@ import (
 	"reflect"
 	"testing"
 
-	"skyloft/internal/core"
+	"skyloft/internal/policy"
 	"skyloft/internal/policy/cfs"
 	"skyloft/internal/policy/edf"
 	"skyloft/internal/policy/eevdf"
 	"skyloft/internal/policy/mlfq"
-	"skyloft/internal/policy/rr"
-	"skyloft/internal/policy/worksteal"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
 )
@@ -18,22 +16,20 @@ import (
 // TestRecycledThreadPolicyState guards the in-place reset of policy task
 // data: the engine recycles thread descriptors, and a recycled descriptor
 // still carries its previous life's *taskData. For every policy with task
-// data, a life dirties it (vruntime, slice, level, deadline, lag — through
+// data, a life dirties it (vruntime, level, deadline, lag — through
 // the policy's own callbacks), the thread terminates, and TaskInit must
 // then yield exactly the state a brand-new thread gets, in the same object.
 func TestRecycledThreadPolicyState(t *testing.T) {
 	const relative = 40 * simtime.Microsecond
 	for _, tc := range []struct {
 		name  string
-		pol   core.Policy
-		dirty func(core.Policy, *sched.Thread) // policy-specific extra dirtying
+		pol   policy.Policy
+		dirty func(policy.Policy, *sched.Thread) // policy-specific extra dirtying
 	}{
-		{"worksteal", worksteal.New(5*simtime.Microsecond, 1), nil},
-		{"rr", rr.New(5 * simtime.Microsecond), nil},
 		{"cfs", cfs.New(cfs.DefaultParams()), nil},
 		{"eevdf", eevdf.New(eevdf.DefaultParams()), nil},
 		{"mlfq", mlfq.New(mlfq.DefaultParams()), nil},
-		{"edf", edf.New(relative), func(p core.Policy, th *sched.Thread) {
+		{"edf", edf.New(relative), func(p policy.Policy, th *sched.Thread) {
 			p.(*edf.Policy).SetRelative(th, 3*relative)
 		}},
 	} {
@@ -52,16 +48,17 @@ func TestRecycledThreadPolicyState(t *testing.T) {
 			// One life: enqueue, dispatch, run past every quantum, block
 			// with a competitor queued (so EEVDF saves a non-zero lag).
 			th.EnqueuedAt = 700
-			p.TaskEnqueue(0, th, core.EnqNew)
+			p.TaskEnqueue(0, th, policy.EnqNew)
 			if got := p.TaskDequeue(0); got != th {
 				t.Fatalf("TaskDequeue = %v, want the enqueued thread", got)
 			}
+			th.LastCPU = 0 // as the engine does when it runs the pick
 			other := &sched.Thread{ID: 3, LastCPU: -1}
 			p.TaskInit(other)
-			p.TaskEnqueue(0, other, core.EnqNew)
+			p.TaskEnqueue(0, other, policy.EnqNew)
 			th.CPUTime += 80 * simtime.Microsecond
 			p.SchedTimerTick(0, th, 80*simtime.Microsecond)
-			if bn, ok := p.(core.BlockNotifier); ok {
+			if bn, ok := p.(policy.BlockNotifier); ok {
 				bn.TaskBlock(0, th)
 			}
 			p.TaskTerminate(th)

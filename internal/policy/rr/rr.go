@@ -6,23 +6,16 @@
 package rr
 
 import (
-	"skyloft/internal/core"
 	"skyloft/internal/policy"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
 )
 
-// Policy implements core.Policy.
+// Policy implements policy.Policy.
 type Policy struct {
 	Slice  simtime.Duration
 	rq     []policy.Deque
 	placer policy.Placer
-}
-
-// taskData is the policy-defined per-task field (task_init's target).
-type taskData struct {
-	sliceUsed simtime.Duration
-	seenCPU   simtime.Duration
 }
 
 // New returns a Round-Robin policy with the given time slice.
@@ -37,14 +30,11 @@ func (p *Policy) Name() string { return "skyloft-rr" }
 
 func (p *Policy) SchedInit(ncpu int) { p.rq = make([]policy.Deque, ncpu) }
 
-func (p *Policy) TaskInit(t *sched.Thread) { policy.ResetData[taskData](t) }
+func (p *Policy) TaskInit(t *sched.Thread) {}
 
 func (p *Policy) TaskTerminate(t *sched.Thread) {}
 
-func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags core.EnqueueFlags) {
-	d := t.PolData.(*taskData)
-	d.sliceUsed = 0
-	d.seenCPU = t.CPUTime
+func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags policy.EnqueueFlags) {
 	p.rq[cpu].PushBack(t)
 }
 
@@ -54,13 +44,10 @@ func (p *Policy) PickCPU(t *sched.Thread, idle []bool) int {
 	return p.placer.Pick(t, idle)
 }
 
-// SchedTimerTick charges the tick to the current task's slice and preempts
-// once the slice is exhausted and a competitor waits.
-func (p *Policy) SchedTimerTick(cpu int, curr *sched.Thread, ranFor simtime.Duration) bool {
-	d := curr.PolData.(*taskData)
-	d.sliceUsed += curr.CPUTime - d.seenCPU
-	d.seenCPU = curr.CPUTime
-	return d.sliceUsed >= p.Slice && p.rq[cpu].Len() > 0
+// SchedTimerTick preempts the current task once it has used its slice and
+// a competitor waits.
+func (p *Policy) SchedTimerTick(cpu int, curr *sched.Thread, slice simtime.Duration) bool {
+	return slice >= p.Slice && p.rq[cpu].Len() > 0
 }
 
 func (p *Policy) SchedBalance(cpu int) *sched.Thread { return nil }

@@ -8,7 +8,7 @@
 package shinjuku
 
 import (
-	"skyloft/internal/core"
+	"skyloft/internal/policy"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
 )
@@ -33,7 +33,7 @@ func (p *Policy) Name() string { return "skyloft-shinjuku" }
 // Enqueue appends to the global queue. Preempted tasks go to the tail too:
 // Shinjuku re-queues long requests behind waiting short ones, which is
 // exactly how it avoids head-of-line blocking.
-func (p *Policy) Enqueue(t *sched.Thread, flags core.EnqueueFlags) {
+func (p *Policy) Enqueue(t *sched.Thread, flags policy.EnqueueFlags) {
 	if p.head > 0 && p.head == len(p.q) {
 		// Drained: rewind so the backing array's capacity is reused.
 		p.q = p.q[:0]

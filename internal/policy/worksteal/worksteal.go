@@ -7,14 +7,13 @@
 package worksteal
 
 import (
-	"skyloft/internal/core"
 	"skyloft/internal/policy"
 	"skyloft/internal/rng"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
 )
 
-// Policy implements core.Policy.
+// Policy implements policy.Policy.
 type Policy struct {
 	// Quantum bounds a task's uninterrupted run; 0 disables preemption
 	// (plain Shenango-style work stealing).
@@ -23,11 +22,6 @@ type Policy struct {
 	r       *rng.Rand
 	steals  uint64
 	placer  policy.Placer
-}
-
-type taskData struct {
-	sliceUsed simtime.Duration
-	seenCPU   simtime.Duration
 }
 
 // New returns a work-stealing policy with the given preemption quantum
@@ -45,13 +39,10 @@ func (p *Policy) Name() string {
 
 func (p *Policy) SchedInit(ncpu int) { p.rq = make([]policy.Deque, ncpu) }
 
-func (p *Policy) TaskInit(t *sched.Thread)      { policy.ResetData[taskData](t) }
+func (p *Policy) TaskInit(t *sched.Thread)      {}
 func (p *Policy) TaskTerminate(t *sched.Thread) {}
 
-func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags core.EnqueueFlags) {
-	d := t.PolData.(*taskData)
-	d.sliceUsed = 0
-	d.seenCPU = t.CPUTime
+func (p *Policy) TaskEnqueue(cpu int, t *sched.Thread, flags policy.EnqueueFlags) {
 	p.rq[cpu].PushBack(t)
 }
 
@@ -63,14 +54,8 @@ func (p *Policy) PickCPU(t *sched.Thread, idle []bool) int {
 
 // SchedTimerTick preempts a task that exceeded the quantum while local work
 // waits (approximating processor sharing for heavy-tailed workloads).
-func (p *Policy) SchedTimerTick(cpu int, curr *sched.Thread, ranFor simtime.Duration) bool {
-	if p.Quantum <= 0 {
-		return false
-	}
-	d := curr.PolData.(*taskData)
-	d.sliceUsed += curr.CPUTime - d.seenCPU
-	d.seenCPU = curr.CPUTime
-	return d.sliceUsed >= p.Quantum && p.rq[cpu].Len() > 0
+func (p *Policy) SchedTimerTick(cpu int, curr *sched.Thread, slice simtime.Duration) bool {
+	return p.Quantum > 0 && slice >= p.Quantum && p.rq[cpu].Len() > 0
 }
 
 // SchedBalance steals from the tail of a random victim's queue.

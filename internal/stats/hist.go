@@ -5,7 +5,6 @@ package stats
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 
@@ -220,28 +219,6 @@ func (h *Hist) Buckets(fn func(lower, upper simtime.Duration, count uint64)) {
 		}
 		fn(lowerBound(i), lowerBound(i+1)-1, c)
 	}
-}
-
-// CDF writes the cumulative distribution, one line per non-empty bucket:
-// the bucket's upper bound, the cumulative count, and the cumulative
-// fraction. The final line always reaches fraction 1.
-func (h *Hist) CDF(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# n=%d min=%v max=%v\n", h.n, h.Min(), h.Max()); err != nil {
-		return err
-	}
-	var cum uint64
-	var ferr error
-	h.Buckets(func(lower, upper simtime.Duration, count uint64) {
-		if ferr != nil {
-			return
-		}
-		cum += count
-		if upper > h.max {
-			upper = h.max
-		}
-		_, ferr = fmt.Fprintf(w, "%-14v %10d %8.6f\n", upper, cum, float64(cum)/float64(h.n))
-	})
-	return ferr
 }
 
 // Reset clears all observations.

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -174,51 +172,6 @@ func TestHistBuckets(t *testing.T) {
 		if !found {
 			t.Fatalf("value %v not covered by any bucket", v)
 		}
-	}
-}
-
-func TestHistCDF(t *testing.T) {
-	h := NewHist()
-	for i := 0; i < 100; i++ {
-		h.Record(simtime.Duration(i * 1000))
-	}
-	var buf strings.Builder
-	if err := h.CDF(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("CDF too short:\n%s", buf.String())
-	}
-	if !strings.HasPrefix(lines[0], "# n=100") {
-		t.Fatalf("bad header: %q", lines[0])
-	}
-	// Cumulative fraction is monotone and ends at 1.
-	prev := -1.0
-	for _, ln := range lines[1:] {
-		fields := strings.Fields(ln)
-		if len(fields) != 3 {
-			t.Fatalf("bad CDF line %q", ln)
-		}
-		f, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f < prev {
-			t.Fatalf("CDF not monotone at %q", ln)
-		}
-		prev = f
-	}
-	if math.Abs(prev-1.0) > 1e-9 {
-		t.Fatalf("CDF ends at %v, want 1", prev)
-	}
-	// Empty histogram: header only, no NaNs.
-	buf.Reset()
-	if err := NewHist().CDF(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(buf.String()); !strings.HasPrefix(got, "# n=0") || strings.Contains(got, "NaN") {
-		t.Fatalf("empty CDF = %q", got)
 	}
 }
 

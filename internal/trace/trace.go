@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 
 	"skyloft/internal/simtime"
 )
@@ -292,16 +291,6 @@ func (r *Ring) Reset() {
 	r.buf = r.buf[:0]
 	r.next = 0
 	r.wrapped = false
-}
-
-// Dump writes the retained window as text.
-func (r *Ring) Dump(w io.Writer) error {
-	for _, ev := range r.Events() {
-		if _, err := fmt.Fprintln(w, ev); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Validate checks the core scheduling invariants over a chronological
