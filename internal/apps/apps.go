@@ -5,21 +5,18 @@
 // system, as in the paper.
 package apps
 
-import (
-	"skyloft/internal/sched"
-	"skyloft/internal/simtime"
-)
+import "skyloft/internal/sched"
 
 // System hosts threads. core.App and ksched.Kernel both satisfy it.
 type System interface {
 	Start(name string, body sched.Func) *sched.Thread
 }
 
-// QuickSystem is implemented by systems that can host the fixed request
-// body "run the service time, then report completion and exit" without a
-// backing goroutine — the thread-per-request fast path used by the
-// open-loop experiments, where millions of short threads are created but
-// each only ever issues a single Run.
+// QuickSystem hosts quick threads (sched.Quick): request handlers that do
+// their work and then need the CPU once, run without a coroutine behind
+// the thread. It is the thread-per-request path of the open-loop
+// experiments, which create millions of short threads. core.App
+// implements it.
 type QuickSystem interface {
-	StartQuick(name string, service simtime.Duration, onDone func(now simtime.Time)) *sched.Thread
+	StartQuick(name string, q sched.Quick) *sched.Thread
 }

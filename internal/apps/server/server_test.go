@@ -118,8 +118,10 @@ func never() bool { return false }
 // newTPRFixture builds the Fig. 8a request path at toy size — a Skyloft
 // engine with work stealing, the NIC, server.NewThreadPerRequest with
 // RunService, open-loop USR load — and warms it past the pools' high-water
-// marks. step advances the run by one tprWindow with RunUntil.
-func newTPRFixture(tb testing.TB) (rec *loadgen.Recorder, step func()) {
+// marks. With direct set, server.FeedDirect injects the same load without
+// the NIC instead (the Fig. 7 path). step advances the run by one
+// tprWindow with RunUntil.
+func newTPRFixture(tb testing.TB, direct bool) (rec *loadgen.Recorder, step func()) {
 	tb.Helper()
 	m := hw.NewMachine(hw.DefaultConfig())
 	e := core.New(core.Config{
@@ -130,10 +132,14 @@ func newTPRFixture(tb testing.TB) (rec *loadgen.Recorder, step func()) {
 	tb.Cleanup(e.Shutdown)
 	app := e.NewApp("srv")
 	rec = loadgen.NewRecorder(0)
-	nic := netsim.NewNIC(m.Clock, m.Cost, 2)
-	server.NewThreadPerRequest(app, nic, rec, server.RunService)
 	gen := loadgen.New(100_000, server.USRClasses(), 64, 1)
-	server.Feed(gen, m.Clock, nic, 0)
+	if direct {
+		server.FeedDirect(gen, m.Clock, app, rec, 0)
+	} else {
+		nic := netsim.NewNIC(m.Clock, m.Cost, 2)
+		server.NewThreadPerRequest(app, nic, rec, server.RunService)
+		server.Feed(gen, m.Clock, nic, 0)
+	}
 	tb.Cleanup(gen.Stop)
 
 	var horizon simtime.Time
@@ -148,26 +154,33 @@ func newTPRFixture(tb testing.TB) (rec *loadgen.Recorder, step func()) {
 }
 
 // TestThreadPerRequestSteadyStateAllocs pins the allocation-free request
-// path: once warm, a window of ~100 NIC requests — each one a thread
-// created, enqueued, dispatched, run and exited, through pooled request
-// records, thread descriptors, policy task data, coroutines, ring
-// runqueues and unboxed thread requests — allocates nothing.
+// paths: once warm, a window of ~100 requests, fed through the NIC or
+// directly — each one a quick thread created, enqueued, dispatched, run and
+// exited, through pooled request records, thread descriptors, policy task
+// data and ring runqueues — allocates nothing.
 func TestThreadPerRequestSteadyStateAllocs(t *testing.T) {
-	rec, step := newTPRFixture(t)
-	before := rec.Done
-	allocs := testing.AllocsPerRun(20, step)
-	if served := rec.Done - before; served < 20*50 {
-		t.Fatalf("only %d requests served in 21 windows; the fixture is idle", served)
-	}
-	if allocs != 0 {
-		t.Fatalf("steady-state window of ~100 requests allocates %.0f objects, want 0", allocs)
+	for _, tc := range []struct {
+		name   string
+		direct bool
+	}{{"NIC", false}, {"FeedDirect", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec, step := newTPRFixture(t, tc.direct)
+			before := rec.Done
+			allocs := testing.AllocsPerRun(20, step)
+			if served := rec.Done - before; served < 20*50 {
+				t.Fatalf("only %d requests served in 21 windows; the fixture is idle", served)
+			}
+			if allocs != 0 {
+				t.Fatalf("steady-state window of ~100 requests allocates %.0f objects, want 0", allocs)
+			}
+		})
 	}
 }
 
 // BenchmarkThreadPerRequest measures one steady-state window (~100
 // requests) of the thread-per-request path; allocs/op must stay 0.
 func BenchmarkThreadPerRequest(b *testing.B) {
-	rec, step := newTPRFixture(b)
+	rec, step := newTPRFixture(b, false)
 	before := rec.Done
 	b.ReportAllocs()
 	b.ResetTimer()

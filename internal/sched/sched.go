@@ -47,6 +47,20 @@ func (s State) String() string {
 // Func is a thread body.
 type Func func(Env)
 
+// Quick is the body of a quick thread (core.App.StartQuick), a request
+// handler that needs the CPU once. The engine calls Begin at the thread's
+// first dispatch: Begin does its work and issues at most one Run, as its
+// last Env call, which sets the thread's CPU demand instead of suspending
+// it. End runs at the instant that demand completes (at once if Begin
+// issued no Run), and then the thread exits. Because Begin never suspends,
+// no coroutine backs the thread, and any other request (Yield, Block,
+// Sleep, IO, Fault, Wake, Spawn), a second Run or an Env call after the Run
+// panics instead of running at the wrong instant.
+type Quick interface {
+	Begin(e Env)
+	End(now simtime.Time)
+}
+
 // Thread is the engine-visible descriptor of one simulated thread. Fields
 // other than the identity ones are owned by the hosting engine.
 type Thread struct {
