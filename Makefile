@@ -72,8 +72,9 @@ fuzz-smoke:
 # cases' one; the proc pair's -benchmem line (one Resume→Ask round trip,
 # one pooled thread life) makes a per-switch allocation visible; the
 # thread-per-request window (~100 NIC requests through core + worksteal +
-# server) and the runqueue cycle must show 0 allocs/op, so a reintroduced
-# per-request or per-enqueue allocation is visible here.
+# server, each a quick thread with no coroutine behind it) and the
+# runqueue cycle must show 0 allocs/op, so a reintroduced per-request or
+# per-enqueue allocation is visible here.
 # Real numbers: see EXPERIMENTS.md ("Event-core performance"; the LSM's
 # under Fig. 8b) and `go test -bench . -benchmem`.
 .PHONY: bench-smoke
