@@ -30,9 +30,9 @@
 // -flight-dir when a pathology detector or the invariant checker fires.
 //
 // -oversub runs the oversubscription survival gate instead of the sweep:
-// each lease preset is replayed bit-identically with cross-app invariants
-// audited at every transition, and the measured reclaim p99 is checked
-// against the protocol's bound.
+// the cross-runtime lease preset is replayed bit-identically with cross-app
+// invariants audited at every transition, and the measured reclaim p99 is
+// checked against the protocol's bound.
 //
 // Usage:
 //

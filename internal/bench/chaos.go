@@ -19,8 +19,9 @@ import (
 // checker auditing after every event. Each plan is paired with the engine
 // configuration whose delivery path it attacks (legacy-IPI preemption for
 // ipi-drop, the LAPIC tick for timer-drift, UINTR notification for
-// uintr-suppress) and with a clean twin — the same configuration minus the
-// injector — that anchors the p99.9 degradation bound.
+// uintr-suppress, the core allocator's UINTR reclaim for be-reclaim) and
+// with a clean twin — the same configuration minus the injector — that
+// anchors the p99.9 degradation bound.
 
 // ChaosDuration is the default virtual length of one chaos run: long
 // enough that the preset fault windows ([0.5ms, 3ms)) have a clean lead-in
@@ -54,6 +55,9 @@ type ChaosResult struct {
 
 	UINTRDropped  uint64 `json:"uintr_dropped"`
 	IRQsCoalesced uint64 `json:"irqs_coalesced"`
+	// BEPreempts counts best-effort cores the allocator reclaimed (zero
+	// unless the configuration enables core allocation).
+	BEPreempts uint64 `json:"be_preempts"`
 
 	// Raw materials for exports (Perfetto), not part of the JSON summary.
 	RawEvents []trace.Event `json:"-"`
@@ -93,6 +97,18 @@ func chaosRun(cfgName string, plan *faults.Plan, seed uint64, dur simtime.Durati
 		cfg.Costs = core.SkyloftCosts(m.Cost)
 		cfg.TimerMode = core.TimerNone
 		mode = "centralized/user-ipi"
+	case "be-reclaim":
+		// The same SENDUIPI path carrying the allocator's core reclaims:
+		// the batch app borrows idle workers and the LC app takes them back.
+		cfg.Mode = core.Centralized
+		cfg.Central = shinjuku.New(25 * simtime.Microsecond)
+		cfg.Costs = core.SkyloftCosts(m.Cost)
+		cfg.TimerMode = core.TimerNone
+		cfg.CoreAlloc = &core.CoreAllocConfig{
+			CongestionThreshold: 20 * simtime.Microsecond,
+			MaxBECores:          2,
+		}
+		mode = "centralized/be-alloc"
 	case "timer-drift", "straggler-core":
 		// The standard per-CPU profile: LAPIC tick drives RR preemption.
 		cfg.Mode = core.PerCPU
@@ -191,6 +207,8 @@ func chaosRun(cfgName string, plan *faults.Plan, seed uint64, dur simtime.Durati
 			res.UINTRDropped = uint64(s.Value)
 		case "hw.irqs.coalesced":
 			res.IRQsCoalesced = uint64(s.Value)
+		case "core.be.preempts":
+			res.BEPreempts = uint64(s.Value)
 		}
 	}
 	return res, nil
@@ -256,6 +274,17 @@ var chaosExpect = map[string]chaosExpectation{
 	// watchdog rescans.
 	"uintr-suppress": {
 		engaged: func(r *ChaosResult) (string, uint64) {
+			return "ipi_retries+rescans", r.Recovery.IPIRetries + r.Recovery.Rescans
+		},
+		maxP999Ratio: 8,
+	},
+	// The allocator must really reclaim cores, and suppressed reclaim
+	// notifications must be recovered by retry resends or watchdog rescans.
+	"be-reclaim": {
+		engaged: func(r *ChaosResult) (string, uint64) {
+			if r.BEPreempts == 0 {
+				return "be_preempts", 0
+			}
 			return "ipi_retries+rescans", r.Recovery.IPIRetries + r.Recovery.Rescans
 		},
 		maxP999Ratio: 8,

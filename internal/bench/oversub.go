@@ -16,12 +16,13 @@ import (
 	"skyloft/internal/trace"
 )
 
-// Oversubscription survival (DESIGN.md §15): two preset scenarios drive the
-// core lending/reclaim lease protocol under an antagonist fault plan that
-// attacks the cooperative reclaim path, and the gate proves the robustness
-// claims — replay is bit-identical, the cross-app invariants hold throughout, forced revocation demonstrably
-// engaged (the faults really suppressed cooperation), and the measured
-// reclaim p99 stays inside the protocol's configured bound.
+// Oversubscription survival (DESIGN.md §15): the oversub-multiruntime
+// preset drives the cross-runtime core lending/reclaim lease protocol under
+// a fault plan that attacks the cooperative reclaim path, and the gate
+// proves the robustness claims — replay is bit-identical, the cross-app
+// invariants hold throughout, forced revocation demonstrably engaged (the
+// faults really broke cooperation), and the measured reclaim p99 stays
+// inside the protocol's configured bound.
 
 // OversubDuration is the default virtual length of one oversubscription
 // run: the preset fault windows ([0.5ms, 3ms)) get a clean lead-in and a
@@ -60,30 +61,27 @@ type OversubResult struct {
 	ReclaimMaxUs   float64 `json:"reclaim_max_us"`
 	ReclaimBoundUs float64 `json:"reclaim_bound_us"`
 
+	// TenantCores is the borrower tenant's CPU over the run, in cores: the
+	// sum of its threads' CPU time divided by the run length. Its home CPUs
+	// cap a static split at 2.0; anything above is lent capacity.
+	TenantCores float64 `json:"tenant_cores"`
+
 	Findings []doctor.Finding `json:"findings"`
 }
 
 // OversubPresetNames lists the oversubscription scenarios in gate order.
 func OversubPresetNames() []string {
-	return []string{"oversub-antagonist", "oversub-multiruntime"}
+	return []string{"oversub-multiruntime"}
 }
 
-// oversubPlan builds the fault plan that attacks each preset's cooperative
-// reclaim path. Both reuse the chaos tier's [0.5ms, 3ms) window convention.
+// oversubPlan builds the fault plan that attacks the preset's cooperative
+// reclaim path, in the chaos tier's [0.5ms, 3ms) window convention.
 func oversubPlan(name string, seed uint64) (*faults.Plan, bool) {
 	const (
 		onset = simtime.Time(500 * simtime.Microsecond)
 		until = simtime.Time(3 * simtime.Millisecond)
 	)
 	switch name {
-	case "oversub-antagonist":
-		// The intra-engine reclaim notification is a SENDUIPI preempt: at a
-		// 0.9 suppression rate the cooperative request and most of the
-		// forced re-notifications vanish, so the grace deadline expires and
-		// revocation must escalate all the way to ForceEvict.
-		return &faults.Plan{Name: name, Seed: seed, Rules: []faults.Rule{
-			{Kind: faults.UINTRSuppress, Core: -1, From: onset, Until: until, Rate: 0.9},
-		}}, true
 	case "oversub-multiruntime":
 		// The cross-runtime reclaim notification is a vacate IPI to the lent
 		// cores: drop most of them (and the lent cores' other IPI traffic)
@@ -108,120 +106,16 @@ func RunOversub(name string, seed uint64, dur simtime.Duration) (*OversubResult,
 		return nil, fmt.Errorf("bench: unknown oversubscription preset %q (have %v)",
 			name, OversubPresetNames())
 	}
-	switch name {
-	case "oversub-antagonist":
-		return oversubAntagonist(plan, seed, dur)
-	default:
-		return oversubMultiRuntime(plan, seed, dur)
-	}
+	return oversubMultiRuntime(plan, seed, dur)
 }
 
-// oversubCheckerBudget is the work-conservation budget for the oversub
-// checkers. The presets suppress ~90% of notifications, so recovery leans
-// on the watchdog (caught within ~1.5 budgets of onset) rather than the
-// first retry; the invariant budget is sized so only a genuine wedge —
-// not a recovered suppression — trips work conservation, while the lease
-// invariants (the point of this tier) stay audited at every event.
+// oversubCheckerBudget is the engine checker's work-conservation budget.
+// The plan drops 85% of the IPIs to the lent cores, so recovery can lean on
+// the watchdog (caught within ~1.5 budgets of onset) rather than the first
+// retry; the budget is sized so only a genuine wedge — not a recovered
+// drop — trips work conservation, while the lease invariants (the point of
+// this tier) stay audited at every event.
 const oversubCheckerBudget = simtime.Millisecond
-
-// fillLease copies the lease manager's counters and latency histogram into
-// the result.
-func (r *OversubResult) fillLease(mgr *lease.Manager) {
-	r.Grants = mgr.Grants()
-	r.Reclaims = mgr.Reclaims()
-	r.VoluntaryReturns = mgr.VoluntaryReturns()
-	r.CooperativeReturns = mgr.CooperativeReturns()
-	r.ForcedRevocations = mgr.ForcedRevocations()
-	r.RevocationRetries = mgr.RevocationRetries()
-	r.Evictions = mgr.Evictions()
-	r.DeadlineMisses = mgr.DeadlineMisses()
-	h := mgr.ReclaimHist()
-	r.ReclaimP50Us = h.P50().Micros()
-	r.ReclaimP99Us = h.P99().Micros()
-	r.ReclaimMaxUs = h.Max().Micros()
-	r.ReclaimBoundUs = mgr.Config().ReclaimBound().Micros()
-}
-
-// oversubAntagonist is preset 1: 2× oversubscription inside one engine. A
-// latency-critical app (8 threads on 4 workers) shares the machine with a
-// best-effort antagonist whose tasks run far past the lease grace window;
-// every BE core grant goes through the lease protocol (Config.Lease), and
-// the fault plan suppresses the reclaim notifications so cooperative yield
-// fails and forced revocation must bound the reclaim.
-func oversubAntagonist(plan *faults.Plan, seed uint64, dur simtime.Duration) (*OversubResult, error) {
-	m := newMachine()
-	tr := trace.New(1 << 16)
-	e := core.New(core.Config{
-		Machine: m, Trace: tr, Seed: seed,
-		CPUs:      cpuList(5), // dispatcher + 4 workers
-		Mode:      core.Centralized,
-		Central:   shinjuku.New(25 * simtime.Microsecond),
-		Costs:     core.SkyloftCosts(m.Cost),
-		TimerMode: core.TimerNone,
-		Hardening: &core.HardeningConfig{},
-		CoreAlloc: &core.CoreAllocConfig{
-			LCApp:               0,
-			CongestionThreshold: 20 * simtime.Microsecond,
-			CheckInterval:       5 * simtime.Microsecond,
-			MaxBECores:          2,
-		},
-		Lease: &lease.Config{},
-	})
-	defer e.Shutdown()
-
-	in, err := faults.NewInjector(plan, m)
-	if err != nil {
-		return nil, err
-	}
-	in.Attach(tr)
-	checker := faults.NewChecker(e, oversubCheckerBudget)
-	checker.AttachLease(e.LeaseManager())
-	m.Clock.SetObserver(checker.Check)
-
-	reg := &obs.Registry{}
-	e.RegisterMetrics(reg)
-	in.RegisterMetrics(reg)
-
-	lc := e.NewApp("lc")
-	antagonist := e.NewApp("antagonist")
-	// The LC load needs ~2.5 of the 4 workers on average, with bursts that
-	// congest the central queue whenever the antagonist holds cores — that
-	// congestion is what drives the allocator's reclaim requests.
-	for i := 0; i < 8; i++ {
-		lc.Start("lc-w", func(env sched.Env) {
-			for {
-				env.Run(simtime.Duration(5+env.Rand().Intn(16)) * simtime.Microsecond)
-				env.Sleep(simtime.Duration(10+env.Rand().Intn(30)) * simtime.Microsecond)
-			}
-		})
-	}
-	for i := 0; i < 3; i++ {
-		// The antagonist's bursts outlive the grace window severalfold, so a
-		// reclaim that loses its notification cannot end cooperatively.
-		antagonist.Start("antagonist-w", func(env sched.Env) {
-			for {
-				env.Run(simtime.Duration(80+env.Rand().Intn(220)) * simtime.Microsecond)
-				if env.Rand().Bernoulli(0.1) {
-					env.Sleep(simtime.Duration(5+env.Rand().Intn(20)) * simtime.Microsecond)
-				}
-			}
-		})
-	}
-	e.Run(simtime.Time(dur))
-
-	res := &OversubResult{
-		Preset: plan.Name, Seed: seed,
-		TraceHash: tr.Hash(), Events: tr.Total(), Dispatched: m.Clock.Dispatched(),
-		Injected: in.Counters(),
-		Checks:   checker.Checks(), Violations: checker.Count(),
-		LeaseEvents: tr.Counts().LeaseEvents,
-	}
-	res.ViolationMsgs = append(res.ViolationMsgs, checker.Violations()...)
-	res.fillLease(e.LeaseManager())
-	diag := doctor.Analyze(tr.Events(), nil, doctor.Config{Cores: e.Workers()})
-	res.Findings = append([]doctor.Finding{}, diag.Findings...)
-	return res, nil
-}
 
 // oversubMultiRuntime's core plumbing: engine CPUs {0..4} (dispatcher +
 // 4 workers on hw cores 1..4); worker indexes 2 and 3 (hw cores 3 and 4)
@@ -232,7 +126,7 @@ var (
 	oversubHomeHW  = []int{5, 6}
 )
 
-// oversubBroker owns the cross-runtime lease state machine for preset 2:
+// oversubBroker owns the cross-runtime lease state machine:
 // it polls both runtimes' pressure on a fixed interval, lends idle
 // engine workers to the ksched tenant (LendWorker + Online), and reclaims
 // them through the manager's grace-deadline escalation — a droppable vacate
@@ -341,7 +235,7 @@ func (b *oversubBroker) start() {
 	b.m.Clock.After(brokerPollInterval, poll)
 }
 
-// oversubMultiRuntime is preset 2: two runtimes — the Skyloft engine and a
+// oversubMultiRuntime is the preset: two runtimes — the Skyloft engine and a
 // simulated-Linux ksched tenant — share the machine. The broker lends the
 // engine's idle workers to the tenant kernel and reclaims them under the
 // lease protocol while the fault plan drops the vacate IPIs, forcing the
@@ -413,19 +307,25 @@ func oversubMultiRuntime(plan *faults.Plan, seed uint64, dur simtime.Duration) (
 			}
 		})
 	}
+	var spinners []*sched.Thread
 	for i := 0; i < 5; i++ {
 		// CPU-bound tenant threads: constant pressure on the borrower
 		// kernel, so every grant gets used and every reclaim interrupts
 		// real work.
-		k.Start("tenant-spin", func(env sched.Env) {
+		spinners = append(spinners, k.Start("tenant-spin", func(env sched.Env) {
 			for {
 				env.Run(100 * simtime.Microsecond)
 			}
-		})
+		}))
 	}
 	broker.start()
 	e.Run(simtime.Time(dur))
+	var tenantCPU simtime.Duration
+	for _, th := range spinners {
+		tenantCPU += th.CPUTime
+	}
 
+	mgr, h := broker.mgr, broker.mgr.ReclaimHist()
 	res := &OversubResult{
 		Preset: plan.Name, Seed: seed,
 		TraceHash: tr.Hash(), Events: tr.Total(), Dispatched: m.Clock.Dispatched(),
@@ -433,10 +333,23 @@ func oversubMultiRuntime(plan *faults.Plan, seed uint64, dur simtime.Duration) (
 		Checks:      engChecker.Checks() + kChecker.Checks(),
 		Violations:  engChecker.Count() + kChecker.Count(),
 		LeaseEvents: tr.Counts().LeaseEvents,
+
+		Grants:             mgr.Grants(),
+		Reclaims:           mgr.Reclaims(),
+		VoluntaryReturns:   mgr.VoluntaryReturns(),
+		CooperativeReturns: mgr.CooperativeReturns(),
+		ForcedRevocations:  mgr.ForcedRevocations(),
+		RevocationRetries:  mgr.RevocationRetries(),
+		Evictions:          mgr.Evictions(),
+		DeadlineMisses:     mgr.DeadlineMisses(),
+		ReclaimP50Us:       h.P50().Micros(),
+		ReclaimP99Us:       h.P99().Micros(),
+		ReclaimMaxUs:       h.Max().Micros(),
+		ReclaimBoundUs:     mgr.Config().ReclaimBound().Micros(),
+		TenantCores:        float64(tenantCPU) / float64(dur),
 	}
 	res.ViolationMsgs = append(res.ViolationMsgs, engChecker.Violations()...)
 	res.ViolationMsgs = append(res.ViolationMsgs, kChecker.Violations()...)
-	res.fillLease(broker.mgr)
 	diag := doctor.Analyze(tr.Events(), nil, doctor.Config{Cores: e.Workers()})
 	res.Findings = append([]doctor.Finding{}, diag.Findings...)
 	return res, nil

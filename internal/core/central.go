@@ -126,19 +126,9 @@ func (e *Engine) quantumCheck(w *coreCtx, t *sched.Thread, seq uint64) {
 }
 
 // sendPreempt delivers a preemption notification to worker w using the
-// configured mechanism, arming the hardening layer's retry when enabled.
+// configured mechanism, then arms the hardening layer's retry when enabled
+// (the retry reads the preemptAim the send sets).
 func (e *Engine) sendPreempt(w *coreCtx) {
-	e.sendPreemptOnce(w)
-	if e.hardenOn {
-		e.armPreemptRetry(w, w.preemptAim, e.harden.RetryTimeout, e.harden.RetryMax)
-	}
-}
-
-// sendPreemptOnce sends a single preemption notification with no retry
-// arming — the lease manager's reclaim path uses it directly because the
-// manager owns its own escalation schedule (grace deadline, doubling
-// resends, forced eviction).
-func (e *Engine) sendPreemptOnce(w *coreCtx) {
 	mech := e.ec.Preempt
 	w.preemptAim = w.assignSeq
 	e.special.hwc.Exec(mech.Send, nil)
@@ -149,6 +139,9 @@ func (e *Engine) sendPreemptOnce(w *coreCtx) {
 		e.special.send.SendUIPI(w.dispUITT)
 	} else {
 		e.m.SendIPI(e.special.hwc.ID, w.hwc.ID, legacyPreemptVector, mech.Deliver, nil)
+	}
+	if e.hardenOn {
+		e.armPreemptRetry(w, w.preemptAim, e.harden.RetryTimeout, e.harden.RetryMax)
 	}
 }
 
@@ -195,7 +188,6 @@ func (e *Engine) preemptWorker(c *coreCtx, ranFor simtime.Duration, _ any) {
 		e.allocState.beOnCore--
 		e.allocState.preempts++
 		e.allocState.beQueues[t.App] = append(e.allocState.beQueues[t.App], t)
-		e.leaseReturn(c)
 	} else {
 		t.EnqueuedAt = e.m.Now()
 		e.central.Enqueue(t, policy.EnqPreempted)
@@ -210,7 +202,6 @@ func (e *Engine) workerBecameIdle(c *coreCtx) {
 	if c.beMode {
 		c.beMode = false
 		e.allocState.beOnCore--
-		e.leaseReturn(c) // the borrower yielded the core on its own
 	}
 	c.setCurr(nil)
 	c.assignSeq++ // any in-flight preemption for the old assignment is stale
@@ -250,16 +241,6 @@ func (e *Engine) allocCheck() {
 	// Congested: reclaim one BE core per check.
 	for _, c := range e.cores {
 		if c.beMode && c.curr != nil {
-			if e.leaseMgr != nil {
-				// Lease protocol: the manager sends the cooperative
-				// notification and owns the escalation to forced
-				// revocation. A false return means a reclaim is already
-				// in flight on this core — try the next one.
-				if e.leaseMgr.RequestReclaim(c.idx) {
-					return
-				}
-				continue
-			}
 			e.sendPreempt(c)
 			return
 		}
@@ -290,16 +271,6 @@ func (e *Engine) maybeGrantBE(w *coreCtx) bool {
 		w.beMode = true
 		e.allocState.beOnCore++
 		e.allocState.grants++
-		if e.leaseMgr != nil {
-			// The grant is an explicit lease: mark the kernel module first
-			// so the borrower's kthread may bind, then open the lease. A
-			// grant on a non-idle lease is a protocol bug, not a runtime
-			// condition.
-			e.mod.MarkLeased(w.hwc.ID, ca.LCApp, t.App)
-			if err := e.leaseMgr.Grant(w.idx, ca.LCApp, t.App); err != nil {
-				panic("core: " + err.Error())
-			}
-		}
 		e.assign(w, t)
 		return true
 	}

@@ -18,7 +18,6 @@ import (
 	"skyloft/internal/cycles"
 	"skyloft/internal/hw"
 	"skyloft/internal/kmod"
-	"skyloft/internal/lease"
 	"skyloft/internal/netsim"
 	"skyloft/internal/policy"
 	"skyloft/internal/proc"
@@ -116,12 +115,6 @@ type Config struct {
 	// per-core watchdog, UINTR notification rescans, and preemption-IPI
 	// retry-with-backoff (harden.go). Nil adds no events to a run.
 	Hardening *HardeningConfig
-	// Lease, when non-nil, runs best-effort core grants through the
-	// explicit lending/reclaim protocol (lease_client.go): every grant
-	// becomes a revocable lease whose reclaim latency is bounded by
-	// Lease.ReclaimBound even when the borrower stalls or drops IPIs.
-	// Requires Centralized mode. Nil keeps the bare allocator behaviour.
-	Lease *lease.Config
 }
 
 // App is one application scheduled by Skyloft.
@@ -196,9 +189,6 @@ type Engine struct {
 	dispatchArmed bool
 	dispatchFn    func()
 	allocState    allocState
-
-	// lease protocol state (lease_client.go), nil unless Config.Lease set
-	leaseMgr *lease.Manager
 
 	// interrupt-driven networking (netirq.go)
 	netNIC *netsim.NIC
@@ -516,12 +506,6 @@ func New(cfg Config) *Engine {
 	if e.mode == Centralized && cfg.CoreAlloc != nil {
 		e.startCoreAllocator()
 	}
-	if cfg.Lease != nil {
-		if e.mode != Centralized {
-			panic("core: Config.Lease requires Centralized mode")
-		}
-		e.startLeaseManager()
-	}
 	if cfg.Hardening != nil {
 		e.hardenOn = true
 		e.harden = cfg.Hardening.withDefaults()
@@ -580,11 +564,15 @@ func (e *Engine) NewApp(name string) *App {
 	a := &App{ID: len(e.apps), Name: name, e: e, meta: e.seg.RegisterApp(name)}
 	for _, c := range e.cores {
 		var kt *kmod.KThread
+		var err error
 		if a.ID == 0 {
-			kt = e.mod.CreateBound(a.ID, c.hwc.ID)
+			kt, err = e.mod.CreateBound(a.ID, c.hwc.ID)
 			c.currApp = 0
 		} else {
-			kt = e.mod.ParkOnCPU(a.ID, c.hwc.ID)
+			kt, err = e.mod.ParkOnCPU(a.ID, c.hwc.ID)
+		}
+		if err != nil {
+			panic(err.Error())
 		}
 		a.meta.KThreadTIDs[c.hwc.ID] = kt.TID
 	}

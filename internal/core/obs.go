@@ -45,15 +45,11 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("uintr.rescans", sumRecv(func(c *coreCtx) uint64 { return c.recv.Rescans() }))
 
 	// Core-allocation counters exist only when the allocator is configured,
-	// and lease counters only when the lease protocol is enabled, so
-	// clean-run metric snapshots keep their exact pre-existing key set.
+	// so clean-run metric snapshots keep their exact pre-existing key set.
 	if e.cfg.CoreAlloc != nil {
 		r.CounterFunc("core.be.grants", func() uint64 { return e.allocState.grants })
 		r.CounterFunc("core.be.preempts", func() uint64 { return e.allocState.preempts })
 		r.GaugeFunc("core.be.on_core", func() int64 { return int64(e.allocState.beOnCore) })
-	}
-	if e.leaseMgr != nil {
-		e.leaseMgr.RegisterMetrics(r)
 	}
 
 	// Hardening recovery counters exist only when the layer is enabled, so

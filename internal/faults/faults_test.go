@@ -48,8 +48,8 @@ func TestPlanValidate(t *testing.T) {
 // and carries the seed through — and that unknown names are refused.
 func TestPresets(t *testing.T) {
 	names := PresetNames()
-	if len(names) != 4 {
-		t.Fatalf("PresetNames() = %v, want 4 presets", names)
+	if len(names) != 5 {
+		t.Fatalf("PresetNames() = %v, want 5 presets", names)
 	}
 	for _, name := range names {
 		p, ok := Preset(name, 99)

@@ -13,7 +13,7 @@ import "skyloft/internal/simtime"
 
 // Preset returns the named chaos plan at the given seed, reporting whether
 // the name is known. Names: ipi-drop, timer-drift, straggler-core,
-// uintr-suppress.
+// uintr-suppress, be-reclaim.
 func Preset(name string, seed uint64) (*Plan, bool) {
 	const (
 		onset = 500 * simtime.Microsecond
@@ -57,11 +57,19 @@ func Preset(name string, seed uint64) (*Plan, bool) {
 		return &Plan{Name: name, Seed: seed, Rules: []Rule{
 			{Kind: UINTRSuppress, Core: -1, From: simtime.Time(onset), Until: simtime.Time(3 * ms), Rate: 0.40},
 		}}, true
+	case "be-reclaim":
+		// Core reclaim from a best-effort borrower (§5.2): the allocator
+		// takes a granted core back with a user IPI, and 90% of those
+		// notifications vanish, so the borrower keeps the core until a
+		// retry resend or a watchdog rescan lands the preemption.
+		return &Plan{Name: name, Seed: seed, Rules: []Rule{
+			{Kind: UINTRSuppress, Core: -1, From: simtime.Time(onset), Until: simtime.Time(3 * ms), Rate: 0.9},
+		}}, true
 	}
 	return nil, false
 }
 
 // PresetNames lists the preset plans in gate order.
 func PresetNames() []string {
-	return []string{"ipi-drop", "timer-drift", "straggler-core", "uintr-suppress"}
+	return []string{"ipi-drop", "timer-drift", "straggler-core", "uintr-suppress", "be-reclaim"}
 }

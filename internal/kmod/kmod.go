@@ -17,8 +17,7 @@ import (
 	"skyloft/internal/uintrsim"
 )
 
-// Sentinel errors for the checked binding paths. Callers that drive the
-// lease protocol (internal/lease, core's allocator) match on these with
+// Sentinel errors for the binding paths. Callers match on these with
 // errors.Is; the messages returned wrap them with core/tid detail.
 var (
 	// ErrDoubleBind: the core already has an active kernel thread, so
@@ -27,9 +26,6 @@ var (
 	// ErrCoreLeased: the core is under an active lease and the requested
 	// thread belongs to neither the borrower nor the lender.
 	ErrCoreLeased = errors.New("kmod: core is leased to another application")
-	// ErrRevocationInProgress: the core's lease is being forcibly revoked;
-	// no new thread may bind until the revocation completes.
-	ErrRevocationInProgress = errors.New("kmod: core lease revocation in progress")
 )
 
 // KThread is one application's kernel thread bound to one isolated core.
@@ -47,14 +43,13 @@ func (k *KThread) String() string {
 	return fmt.Sprintf("kthread{tid=%d app=%d core=%d active=%v}", k.TID, k.App, k.Core, k.Active)
 }
 
-// leaseMark is the module's view of one core lease: who lent it, who
-// borrowed it, and whether forced revocation is underway. The module does
-// not run the lease state machine (internal/lease does); it only enforces
-// that binding operations on a leased core name the two parties.
+// leaseMark is the module's view of one core lease: who lent it and who
+// borrowed it. The module does not run the lease state machine
+// (internal/lease does); it only enforces that binding operations on a
+// leased core name the two parties.
 type leaseMark struct {
 	lender   int
 	borrower int
-	revoking bool
 }
 
 // Module is the simulated kernel module instance.
@@ -85,21 +80,10 @@ func New(m *hw.Machine, cost cycles.Model) *Module {
 func (mod *Module) Switches() uint64 { return mod.switches }
 
 // MarkLeased records that core is lent by lender to borrower. While the
-// mark is present, SwitchTo/Wakeup reject kernel threads of any third
-// application on that core, and the checked bind paths refuse new
-// bindings that are neither party's.
+// mark is present, CreateBound, ParkOnCPU, SwitchTo and Wakeup refuse
+// kernel threads of any third application on that core.
 func (mod *Module) MarkLeased(core, lender, borrower int) {
 	mod.leases[core] = leaseMark{lender: lender, borrower: borrower}
-}
-
-// MarkRevoking flags core's lease as under forced revocation: parking new
-// threads onto the core is refused until the revocation completes and the
-// mark is cleared.
-func (mod *Module) MarkRevoking(core int) {
-	if l, ok := mod.leases[core]; ok {
-		l.revoking = true
-		mod.leases[core] = l
-	}
 }
 
 // ClearLease removes core's lease mark (reclaim or voluntary return
@@ -107,9 +91,9 @@ func (mod *Module) MarkRevoking(core int) {
 func (mod *Module) ClearLease(core int) { delete(mod.leases, core) }
 
 // LeaseOn reports core's lease mark, if any.
-func (mod *Module) LeaseOn(core int) (lender, borrower int, revoking, ok bool) {
+func (mod *Module) LeaseOn(core int) (lender, borrower int, ok bool) {
 	l, ok := mod.leases[core]
-	return l.lender, l.borrower, l.revoking, ok
+	return l.lender, l.borrower, ok
 }
 
 // leaseAllows reports whether app may bind/activate a thread on a leased
@@ -123,12 +107,13 @@ func (mod *Module) leaseAllows(core, app int) error {
 		core, l.lender, l.borrower, app, ErrCoreLeased)
 }
 
-// CreateBoundChecked is CreateBound with the violation paths surfaced as
-// errors instead of a panic: binding an active thread onto a core that
-// already has one reports ErrDoubleBind, and binding a third party's
-// thread onto a leased core reports ErrCoreLeased. On error no thread is
-// created and ownership is untouched.
-func (mod *Module) CreateBoundChecked(app, core int) (*KThread, error) {
+// CreateBound registers a new kernel thread for app bound to core and
+// immediately active — the daemon's initial threads (§4.1), which bind with
+// plain sched_setaffinity. Binding onto a core that already has an active
+// thread reports ErrDoubleBind (the Single Binding Rule), and binding a
+// third party's thread onto a leased core reports ErrCoreLeased. On error
+// no thread is created and ownership is untouched.
+func (mod *Module) CreateBound(app, core int) (*KThread, error) {
 	if curr := mod.ActiveOn(core); curr != nil {
 		return nil, fmt.Errorf("kmod: core %d already has active kthread tid %d: %w",
 			core, curr.TID, ErrDoubleBind)
@@ -136,43 +121,23 @@ func (mod *Module) CreateBoundChecked(app, core int) (*KThread, error) {
 	if err := mod.leaseAllows(core, app); err != nil {
 		return nil, err
 	}
-	return mod.CreateBound(app, core), nil
-}
-
-// ParkOnCPUChecked is ParkOnCPU with the lease paths surfaced as errors: a
-// core whose lease is under forced revocation accepts no new bindings
-// (ErrRevocationInProgress), and a leased core accepts only the lease
-// parties (ErrCoreLeased). On error no thread is created.
-func (mod *Module) ParkOnCPUChecked(app, core int) (*KThread, error) {
-	if l, ok := mod.leases[core]; ok && l.revoking {
-		return nil, fmt.Errorf("kmod: core %d lease (app %d -> app %d) is being revoked: %w",
-			core, l.lender, l.borrower, ErrRevocationInProgress)
-	}
-	if err := mod.leaseAllows(core, app); err != nil {
-		return nil, err
-	}
-	return mod.ParkOnCPU(app, core), nil
-}
-
-// CreateBound registers a new kernel thread for app bound to core and
-// immediately active — the daemon's initial threads (§4.1), which bind with
-// plain sched_setaffinity. It panics if the Single Binding Rule would be
-// violated.
-func (mod *Module) CreateBound(app, core int) *KThread {
 	t := mod.create(app, core)
 	t.Active = true
-	mod.checkBindingRule(core)
-	return t
+	return t, nil
 }
 
 // ParkOnCPU registers a new kernel thread for app, binds it to core and
 // suspends it before it ever runs (skyloft_park_on_cpu). Subsequent
-// applications join this way so the rule is never violated.
-func (mod *Module) ParkOnCPU(app, core int) *KThread {
+// applications join this way so the rule is never violated. A leased core
+// accepts only the lease parties (ErrCoreLeased); on error no thread is
+// created.
+func (mod *Module) ParkOnCPU(app, core int) (*KThread, error) {
+	if err := mod.leaseAllows(core, app); err != nil {
+		return nil, err
+	}
 	t := mod.create(app, core)
-	t.Active = false
 	t.parked = true
-	return t
+	return t, nil
 }
 
 func (mod *Module) create(app, core int) *KThread {

@@ -17,10 +17,18 @@ func newModule() *Module {
 	return New(hw.NewMachine(cfg), cycles.Default())
 }
 
+// must unwraps a binding call the test expects to succeed.
+func must(kt *KThread, err error) *KThread {
+	if err != nil {
+		panic(err)
+	}
+	return kt
+}
+
 func TestBindingRuleAcrossApps(t *testing.T) {
 	mod := newModule()
-	a0 := mod.CreateBound(0, 0) // daemon app active on core 0
-	a1 := mod.ParkOnCPU(1, 0)   // second app parks
+	a0 := must(mod.CreateBound(0, 0)) // daemon app active on core 0
+	a1 := must(mod.ParkOnCPU(1, 0))   // second app parks
 	if !a0.Active || a1.Active {
 		t.Fatal("initial active states wrong")
 	}
@@ -44,7 +52,7 @@ func TestBindingRuleAcrossApps(t *testing.T) {
 
 func TestSwitchToSelfIsFree(t *testing.T) {
 	mod := newModule()
-	a := mod.CreateBound(0, 1)
+	a := must(mod.CreateBound(0, 1))
 	cost, err := mod.SwitchTo(a.TID)
 	if err != nil || cost != 0 {
 		t.Fatalf("self-switch cost=%v err=%v", cost, err)
@@ -53,8 +61,8 @@ func TestSwitchToSelfIsFree(t *testing.T) {
 
 func TestWakeupRefusesSecondActive(t *testing.T) {
 	mod := newModule()
-	mod.CreateBound(0, 2)
-	b := mod.ParkOnCPU(1, 2)
+	must(mod.CreateBound(0, 2))
+	b := must(mod.ParkOnCPU(1, 2))
 	if _, err := mod.Wakeup(b.TID); err == nil {
 		t.Fatal("Wakeup violated the Single Binding Rule without error")
 	}
@@ -62,8 +70,8 @@ func TestWakeupRefusesSecondActive(t *testing.T) {
 
 func TestWakeupIdleCore(t *testing.T) {
 	mod := newModule()
-	a := mod.CreateBound(0, 3)
-	b := mod.ParkOnCPU(1, 3)
+	a := must(mod.CreateBound(0, 3))
+	b := must(mod.ParkOnCPU(1, 3))
 	if _, err := mod.SwitchTo(b.TID); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +92,7 @@ func TestWakeupIdleCore(t *testing.T) {
 
 func TestExitRemovesThread(t *testing.T) {
 	mod := newModule()
-	a := mod.CreateBound(0, 0)
+	a := must(mod.CreateBound(0, 0))
 	if err := mod.Exit(a.TID); err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +106,8 @@ func TestExitRemovesThread(t *testing.T) {
 
 func TestFindFor(t *testing.T) {
 	mod := newModule()
-	mod.CreateBound(0, 1)
-	b := mod.ParkOnCPU(1, 1)
+	must(mod.CreateBound(0, 1))
+	b := must(mod.ParkOnCPU(1, 1))
 	if got := mod.FindFor(1, 1); got != b {
 		t.Fatalf("FindFor(1,1) = %v", got)
 	}
@@ -132,9 +140,9 @@ func TestBindingViolationPaths(t *testing.T) {
 	}{
 		{
 			name:  "double-bind",
-			setup: func(mod *Module) int { mod.CreateBound(0, 1); return 1 },
+			setup: func(mod *Module) int { must(mod.CreateBound(0, 1)); return 1 },
 			attempt: func(mod *Module, core int) error {
-				_, err := mod.CreateBoundChecked(1, core)
+				_, err := mod.CreateBound(1, core)
 				return err
 			},
 			want: ErrDoubleBind,
@@ -142,8 +150,8 @@ func TestBindingViolationPaths(t *testing.T) {
 		{
 			name: "wakeup-double-bind",
 			setup: func(mod *Module) int {
-				mod.CreateBound(0, 1)
-				mod.ParkOnCPU(1, 1)
+				must(mod.CreateBound(0, 1))
+				must(mod.ParkOnCPU(1, 1))
 				return 1
 			},
 			attempt: func(mod *Module, core int) error {
@@ -155,13 +163,13 @@ func TestBindingViolationPaths(t *testing.T) {
 		{
 			name: "bind-while-leased",
 			setup: func(mod *Module) int {
-				mod.ParkOnCPU(0, 2) // lender's thread, parked (core idle)
-				mod.ParkOnCPU(7, 2) // borrower's thread
+				must(mod.ParkOnCPU(0, 2)) // lender's thread, parked (core idle)
+				must(mod.ParkOnCPU(7, 2)) // borrower's thread
 				mod.MarkLeased(2, 0, 7)
 				return 2
 			},
 			attempt: func(mod *Module, core int) error {
-				_, err := mod.CreateBoundChecked(3, core) // third party
+				_, err := mod.CreateBound(3, core) // third party
 				return err
 			},
 			want: ErrCoreLeased,
@@ -169,13 +177,13 @@ func TestBindingViolationPaths(t *testing.T) {
 		{
 			name: "park-while-leased",
 			setup: func(mod *Module) int {
-				mod.CreateBound(0, 2)
-				mod.ParkOnCPU(7, 2)
+				must(mod.CreateBound(0, 2))
+				must(mod.ParkOnCPU(7, 2))
 				mod.MarkLeased(2, 0, 7)
 				return 2
 			},
 			attempt: func(mod *Module, core int) error {
-				_, err := mod.ParkOnCPUChecked(3, core)
+				_, err := mod.ParkOnCPU(3, core)
 				return err
 			},
 			want: ErrCoreLeased,
@@ -183,9 +191,9 @@ func TestBindingViolationPaths(t *testing.T) {
 		{
 			name: "switch-to-third-party-while-leased",
 			setup: func(mod *Module) int {
-				mod.CreateBound(0, 3)
-				mod.ParkOnCPU(7, 3)
-				mod.ParkOnCPU(4, 3) // bound before the lease began
+				must(mod.CreateBound(0, 3))
+				must(mod.ParkOnCPU(7, 3))
+				must(mod.ParkOnCPU(4, 3)) // bound before the lease began
 				mod.MarkLeased(3, 0, 7)
 				return 3
 			},
@@ -194,23 +202,6 @@ func TestBindingViolationPaths(t *testing.T) {
 				return err
 			},
 			want: ErrCoreLeased,
-		},
-		{
-			name: "park-during-revocation",
-			setup: func(mod *Module) int {
-				mod.CreateBound(0, 0)
-				mod.ParkOnCPU(7, 0)
-				mod.MarkLeased(0, 0, 7)
-				mod.MarkRevoking(0)
-				return 0
-			},
-			attempt: func(mod *Module, core int) error {
-				// Even the borrower may not park a NEW thread onto a core
-				// whose lease is being forcibly revoked.
-				_, err := mod.ParkOnCPUChecked(7, core)
-				return err
-			},
-			want: ErrRevocationInProgress,
 		},
 	}
 	for _, tc := range cases {
@@ -238,8 +229,8 @@ func TestBindingViolationPaths(t *testing.T) {
 // lease reopens it to everyone.
 func TestLeasePartiesMayBind(t *testing.T) {
 	mod := newModule()
-	lender := mod.CreateBound(0, 1)
-	borrower := mod.ParkOnCPU(7, 1)
+	lender := must(mod.CreateBound(0, 1))
+	borrower := must(mod.ParkOnCPU(7, 1))
 	mod.MarkLeased(1, 0, 7)
 	if _, err := mod.SwitchTo(borrower.TID); err != nil {
 		t.Fatalf("borrower switch under lease: %v", err)
@@ -247,14 +238,14 @@ func TestLeasePartiesMayBind(t *testing.T) {
 	if _, err := mod.SwitchTo(lender.TID); err != nil {
 		t.Fatalf("lender reclaim switch under lease: %v", err)
 	}
-	if l, b, revoking, ok := mod.LeaseOn(1); !ok || l != 0 || b != 7 || revoking {
-		t.Fatalf("LeaseOn = (%d,%d,%v,%v)", l, b, revoking, ok)
+	if l, b, ok := mod.LeaseOn(1); !ok || l != 0 || b != 7 {
+		t.Fatalf("LeaseOn = (%d,%d,%v)", l, b, ok)
 	}
 	mod.ClearLease(1)
-	if _, _, _, ok := mod.LeaseOn(1); ok {
+	if _, _, ok := mod.LeaseOn(1); ok {
 		t.Fatal("lease survived ClearLease")
 	}
-	if _, err := mod.ParkOnCPUChecked(3, 1); err != nil {
+	if _, err := mod.ParkOnCPU(3, 1); err != nil {
 		t.Fatalf("third party park after ClearLease: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 // Package lease implements an explicit core lending/reclaim protocol
-// between applications sharing a machine under kmod's Single Binding Rule
-// (DESIGN.md §15). A lender grants an idle core to a borrower as a
+// between runtimes sharing a machine under kmod's Single Binding Rule
+// (DESIGN.md §15): the Skyloft engine lends whole idle workers to a
+// simulated-Linux tenant. A lender grants an idle core to a borrower as a
 // revocable lease; reclaim follows a grace-deadline state machine:
 //
 //	Idle ── Grant ──> Granted ── RequestReclaim ──> Reclaiming
@@ -114,8 +115,8 @@ func (c Config) ReclaimBound() simtime.Duration {
 	return bound
 }
 
-// Client is the runtime-side half of the protocol: the scheduler that owns
-// the lent cores implements delivery and eviction.
+// Client is the runtime-side half of the protocol: the broker that moves
+// the lent cores between runtimes implements delivery and eviction.
 type Client interface {
 	// ReclaimNotify delivers a reclaim notification for core. Attempt 0 is
 	// the cooperative request inside the grace window; attempts >= 1 are
@@ -177,11 +178,6 @@ type Manager struct {
 	// pendingViolations carries transition-time violations (e.g. a
 	// deadline miss observed at Returned) to the next audit sweep.
 	pendingViolations []string
-
-	// OnTransition, if set, observes every state change (after the
-	// transition is applied). The core engine uses it to keep kmod's
-	// lease marks in step with the state machine.
-	OnTransition func(l Lease)
 }
 
 // NewManager creates a manager scheduling deadline events on clock and
@@ -213,15 +209,6 @@ func (m *Manager) StateOf(core int) State {
 	return Idle
 }
 
-// Snapshot reports core's lease record (zero-value, State Idle, when the
-// core has never been lent).
-func (m *Manager) Snapshot(core int) Lease {
-	if l, ok := m.leases[core]; ok {
-		return *l
-	}
-	return Lease{Core: core, State: Idle}
-}
-
 func (m *Manager) emit(kind trace.Kind, l *Lease, arg int64) {
 	if m.ring == nil {
 		return
@@ -229,12 +216,6 @@ func (m *Manager) emit(kind trace.Kind, l *Lease, arg int64) {
 	m.ring.Record(trace.Event{
 		At: m.clock.Now(), Kind: kind, CPU: l.Core, App: l.Borrower, Arg: arg,
 	})
-}
-
-func (m *Manager) notify(l Lease) {
-	if m.OnTransition != nil {
-		m.OnTransition(l)
-	}
 }
 
 // Grant lends core from lender to borrower. Granting a core that is
@@ -257,7 +238,6 @@ func (m *Manager) Grant(core, lender, borrower int) error {
 	l.seq++
 	m.grants++
 	m.emit(trace.LeaseGrant, l, int64(lender))
-	m.notify(*l)
 	return nil
 }
 
@@ -277,7 +257,6 @@ func (m *Manager) RequestReclaim(core int) bool {
 	seq := l.seq
 	m.reclaims++
 	m.emit(trace.LeaseReclaim, l, 0)
-	m.notify(*l)
 	m.client.ReclaimNotify(core, 0)
 	m.clock.After(m.cfg.Grace, func() {
 		m.graceExpired(l, seq)
@@ -296,7 +275,6 @@ func (m *Manager) graceExpired(l *Lease, seq uint64) {
 	l.seq++
 	m.forcedRevocations++
 	m.emit(trace.LeaseRevoke, l, 0)
-	m.notify(*l)
 	m.escalate(l, l.seq, 1, m.cfg.RetryTimeout)
 }
 
@@ -349,7 +327,6 @@ func (m *Manager) Returned(core int) {
 	l.State = Idle
 	l.seq++
 	m.emit(trace.LeaseReturn, l, int64(latency))
-	m.notify(*l)
 }
 
 // Grants reports leases granted.

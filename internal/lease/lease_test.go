@@ -2,6 +2,7 @@ package lease
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,8 +96,6 @@ func TestForcedRevocationEscalatesToEvict(t *testing.T) {
 	if err := mgr.Grant(2, 0, 7); err != nil {
 		t.Fatal(err)
 	}
-	var transitions []State
-	mgr.OnTransition = func(l Lease) { transitions = append(transitions, l.State) }
 	mgr.RequestReclaim(2)
 	clock.Run(simtime.Time(simtime.Millisecond))
 
@@ -129,20 +128,14 @@ func TestForcedRevocationEscalatesToEvict(t *testing.T) {
 	if max := mgr.ReclaimHist().Max(); max > mgr.Config().ReclaimBound() {
 		t.Fatalf("reclaim took %v, bound %v", max, mgr.Config().ReclaimBound())
 	}
-	// State trail: Reclaiming -> Revoking -> Idle.
-	wantStates := []State{Reclaiming, Revoking, Idle}
-	if len(transitions) != len(wantStates) {
-		t.Fatalf("transitions = %v", transitions)
+	// The trace carries the full lease lifecycle, in order.
+	wantKinds := []trace.Kind{trace.LeaseGrant, trace.LeaseReclaim, trace.LeaseRevoke, trace.LeaseReturn}
+	var kinds []trace.Kind
+	for _, ev := range ring.Events() {
+		kinds = append(kinds, ev.Kind)
 	}
-	for i, s := range wantStates {
-		if transitions[i] != s {
-			t.Fatalf("transitions = %v, want %v", transitions, wantStates)
-		}
-	}
-	// Trace carries the full lease lifecycle.
-	st := ring.Counts()
-	if st.LeaseEvents != 4 { // grant, reclaim, revoke, return
-		t.Fatalf("lease trace events = %d", st.LeaseEvents)
+	if !slices.Equal(kinds, wantKinds) {
+		t.Fatalf("trace kinds = %v, want %v", kinds, wantKinds)
 	}
 }
 
